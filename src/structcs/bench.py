@@ -11,16 +11,20 @@ independent of worker count, and cached per cell so sweeps resume.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import hashlib
 import io
 import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -174,31 +178,101 @@ def spec_template(kind: str, N: int, m: int, dist: str, n: int, seed: int) -> Bl
     raise ValueError(f"unknown matrix kind template {kind!r}")
 
 
+# (get, set) thread-count calls, tried in order on each mapped OpenBLAS
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),  # numpy wheel
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),  # scipy wheel
+    ("openblas_get_num_threads", "openblas_set_num_threads"),  # system build
+)
+
+
+class _OpenBLAS(NamedTuple):
+    path: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.cache
+def _openblas_libraries() -> tuple[_OpenBLAS, ...]:
+    """Every OpenBLAS mapped into this process that exports a thread-count call.
+
+    Read once per process from /proc/self/maps; empty where that file does
+    not exist.  A forked worker inherits the parent's result, which stays
+    valid because the child maps the same libraries at the same addresses.
+    """
+    paths: list[str] = []
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6:
+                    path = fields[5].rstrip("\n")
+                    if "openblas" in os.path.basename(path).lower() and path not in paths:
+                        paths.append(path)
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append(_OpenBLAS(path, get, set_))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, then restore
+    each library's previous thread count.
+
+    A trial's BLAS calls are small, so threads inside them cost more in
+    hand-off than they save, and in the pool they contend for the cores
+    the workers already use.
+    """
+    libs = _openblas_libraries()
+    previous = [lib.get_threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(1)
+    try:
+        yield
+    finally:
+        for lib, threads in zip(libs, previous):
+            lib.set_threads(threads)
+
+
 def run_trial(config: ExperimentConfig, kind: str, n: int, trial_index: int) -> bool:
     """One seeded build-measure-decode round; True on exact recovery.
 
     The signal seed omits the kind so all kinds share signals at a
     fixed (n, trial); the matrix seed includes it.  Any solver failure
-    counts as a non-success.
+    counts as a non-success.  The trial runs on one BLAS thread.
     """
-    signal_seed = _derive_seed(config.master_seed, "signal", n, trial_index)
-    signal = generate_sparse_signal(config.N, config.m, signal_seed)
-    matrix_seed = _derive_seed(config.master_seed, "matrix", kind, n, trial_index)
-    spec = spec_template(kind, config.N, config.m, config.distribution, n, matrix_seed)
-    matrix = build_structured(spec)
-    op = dense_operator(matrix)
-    y = op.forward(signal.to_dense())
-    try:
-        if config.solver == "bp":
-            result = basis_pursuit(op, y, tol=config.solver_tol,
-                                   max_iter=config.solver_max_iter)
-        else:
-            result = omp(op, y, config.m, tol=config.solver_tol)
-    except (np.linalg.LinAlgError, ValueError):
-        return False
-    if result.status is RecoveryStatus.INFEASIBLE:
-        return False
-    return is_exact_recovery(signal, result, config.success_rel_tol)
+    with _one_blas_thread():
+        signal_seed = _derive_seed(config.master_seed, "signal", n, trial_index)
+        signal = generate_sparse_signal(config.N, config.m, signal_seed)
+        matrix_seed = _derive_seed(config.master_seed, "matrix", kind, n, trial_index)
+        spec = spec_template(kind, config.N, config.m, config.distribution, n, matrix_seed)
+        matrix = build_structured(spec)
+        op = dense_operator(matrix)
+        y = op.forward(signal.to_dense())
+        try:
+            if config.solver == "bp":
+                result = basis_pursuit(op, y, tol=config.solver_tol,
+                                       max_iter=config.solver_max_iter)
+            else:
+                result = omp(op, y, config.m, tol=config.solver_tol)
+        except (np.linalg.LinAlgError, ValueError):
+            return False
+        if result.status is RecoveryStatus.INFEASIBLE:
+            return False
+        return is_exact_recovery(signal, result, config.success_rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +366,11 @@ def success_curve(
 
     ``threads`` > 1 distributes whole cells over worker processes; the
     per-trial seeding makes the outcome identical for any thread count.
-    With ``cache_path`` set, completed cells are stored as JSON (written
-    atomically per cell) and reused on reruns of the same config.
+    Each trial runs on one BLAS thread, so parallelism comes only from
+    ``threads``, across cells, and ``OPENBLAS_NUM_THREADS`` need not be
+    set.  With ``cache_path`` set, each cell is stored as JSON (written
+    atomically) as soon as it completes, and reused on reruns of the
+    same config.
     """
     cache: dict[str, int] = {}
     cache_file = Path(cache_path) if cache_path else None
@@ -312,10 +389,10 @@ def success_curve(
 
     if threads > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {(kind, n): pool.submit(_run_cell, config, kind, n)
+            futures = {pool.submit(_run_cell, config, kind, n): (kind, n)
                        for kind, n in pending}
-            for (kind, n), fut in futures.items():
-                record(kind, n, fut.result())
+            for fut in as_completed(futures):
+                record(*futures[fut], fut.result())
     else:
         for kind, n in pending:
             record(kind, n, _run_cell(config, kind, n))

@@ -237,14 +237,22 @@ def _cmd_recover(args) -> int:
     return EXIT_OK
 
 
+def _checked_threads(value: int, source: str) -> int:
+    if value < 1:
+        raise UsageError(f"{source} must be a positive integer, got {value}")
+    return value
+
+
 def _threads_default() -> int:
     env = os.environ.get("STRUCTCS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise UsageError(
+            f"STRUCTCS_THREADS must be a positive integer, got {env!r}") from None
+    return _checked_threads(value, "STRUCTCS_THREADS")
 
 
 def _cmd_bench(args) -> int:
@@ -259,11 +267,17 @@ def _cmd_bench(args) -> int:
         if value is not None:
             data[field] = value
     config = bench_mod.ExperimentConfig(**data)
+    threads = (_checked_threads(args.threads, "--threads") if args.threads is not None
+               else _threads_default())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = args.threads if args.threads is not None else _threads_default()
+    blas = [Path(lib.path).name for lib in bench_mod._openblas_libraries()]
+    if not blas:
+        log.warning("no OpenBLAS found to limit per trial; trials run with the "
+                    "BLAS library's default thread count")
     _log_effective("bench", {"config": json.loads(json.dumps(config.__dict__)),
-                             "threads": threads, "out": str(out_dir)})
+                             "threads": threads, "out": str(out_dir),
+                             "blas_one_thread_per_trial": blas})
     curve = bench_mod.success_curve(
         config,
         threads=threads,

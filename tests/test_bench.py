@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from structcs import bench
 from structcs.bench import (
     ExperimentConfig,
     desk_preset,
@@ -14,7 +16,7 @@ from structcs.bench import (
     wilson_interval,
     write_plot_script,
 )
-from structcs.bench import _derive_seed
+from structcs.bench import _derive_seed, _one_blas_thread
 from structcs.matrices import MatrixKind
 
 
@@ -25,6 +27,15 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _first_cell_fails_late(config, kind, n):
+    """Stand-in for bench._run_cell: the first cell of the grid sleeps and
+    then raises, every other cell returns at once."""
+    if (kind, n) == (config.kinds[0], config.n_grid[0]):
+        time.sleep(1.0)
+        raise RuntimeError("first cell failed")
+    return n % 2
 
 
 class TestSignals:
@@ -122,6 +133,37 @@ class TestRunTrial:
         assert ma != mb
 
 
+class TestOneBlasThread:
+    @pytest.fixture
+    def libs(self):
+        libs = bench._openblas_libraries()
+        if not libs:
+            pytest.skip("no OpenBLAS mapped into this process")
+        return libs
+
+    def test_limits_and_restores_every_openblas(self, libs):
+        before = [lib.get_threads() for lib in libs]
+        with _one_blas_thread():
+            assert [lib.get_threads() for lib in libs] == [1] * len(libs)
+        assert [lib.get_threads() for lib in libs] == before
+        with pytest.raises(RuntimeError):
+            with _one_blas_thread():
+                raise RuntimeError
+        assert [lib.get_threads() for lib in libs] == before
+
+    def test_trial_decodes_on_one_thread(self, libs, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append([lib.get_threads() for lib in libs])
+            return basis_pursuit(*args, **kwargs)
+
+        basis_pursuit = bench.basis_pursuit
+        monkeypatch.setattr(bench, "basis_pursuit", spy)
+        assert run_trial(tiny_config(N=32, n_grid=(32,), m=3), "iid", 32, 0) is True
+        assert seen == [[1] * len(libs)]
+
+
 class TestSuccessCurve:
     def test_single_trial_fraction_is_binary(self):
         cfg = tiny_config(trials=1, kinds=("iid",), n_grid=(24,))
@@ -165,6 +207,23 @@ class TestSuccessCurve:
         serial = success_curve(cfg, threads=1)
         parallel = success_curve(cfg, threads=2)
         assert serial.to_csv_text() == parallel.to_csv_text()
+
+    def test_thread_count_does_not_change_desk_csv(self):
+        cfg = desk_preset(master_seed=2, trials=2)
+        serial = success_curve(cfg, threads=1)
+        parallel = success_curve(cfg, threads=2)
+        assert serial.to_csv_text() == parallel.to_csv_text()
+
+    def test_pool_caches_cells_as_they_finish(self, tmp_path, monkeypatch):
+        cfg = tiny_config(trials=1)
+        cells = [(kind, n) for kind in cfg.kinds for n in cfg.n_grid]
+        cache = tmp_path / "cache.json"
+        # patched before the pool forks, so the workers run the stand-in
+        monkeypatch.setattr(bench, "_run_cell", _first_cell_fails_late)
+        with pytest.raises(RuntimeError, match="first cell failed"):
+            success_curve(cfg, threads=2, cache_path=cache)
+        stored = json.loads(cache.read_text())
+        assert stored == {bench._cell_key(cfg, kind, n): n % 2 for kind, n in cells[1:]}
 
 
 class TestConfigsAndOutputs:

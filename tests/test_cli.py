@@ -229,6 +229,22 @@ class TestBench:
         text = (out_dir / "curve.csv").read_text()
         assert text.strip().split("\n")[1].split(",")[3] == "2"
 
+    def test_log_names_the_blas_limited_per_trial(self, tmp_path, capsys, monkeypatch):
+        from structcs import bench
+
+        argv = ["bench", "--preset", "desk", "--trials", "1", "--json"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        err = capsys.readouterr().err
+        assert '"blas_one_thread_per_trial": [' in err
+        assert "no OpenBLAS found" not in err
+        monkeypatch.setattr(bench, "_openblas_libraries", lambda: ())
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        err = capsys.readouterr().err
+        assert '"blas_one_thread_per_trial": []' in err
+        assert err.count("no OpenBLAS found") == 1
+        assert ((tmp_path / "a" / "config-echo.json").read_bytes()
+                == (tmp_path / "b" / "config-echo.json").read_bytes())
+
 
 class TestDispatch:
     def test_unknown_subcommand_exits_2(self):
@@ -254,12 +270,24 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "effective config" in err
 
-    def test_threads_env_fallback(self, monkeypatch):
-        from structcs.cli import _threads_default
+    def test_threads_env_fallback(self, monkeypatch, tmp_path):
+        from structcs.cli import UsageError, _threads_default
 
         monkeypatch.setenv("STRUCTCS_THREADS", "6")
         assert _threads_default() == 6
-        monkeypatch.setenv("STRUCTCS_THREADS", "junk")
-        assert _threads_default() == 1
+        for bad in ("junk", "0", "-3"):
+            monkeypatch.setenv("STRUCTCS_THREADS", bad)
+            with pytest.raises(UsageError):
+                _threads_default()
+            assert main(["bench", "--out", str(tmp_path / "run"), "--trials", "1"]) == 2
+        assert not (tmp_path / "run").exists()
         monkeypatch.delenv("STRUCTCS_THREADS")
         assert _threads_default() == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_bad_threads_flag_exits_2(self, tmp_path, threads, capsys):
+        out = tmp_path / "run"
+        code = main(["bench", "--out", str(out), "--trials", "1", "--threads", threads])
+        assert code == 2
+        assert "--threads must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
