@@ -104,6 +104,7 @@ from .bench import (
     success_curve,
     wilson_interval,
     write_plot_script,
+    write_run,
 )
 
 __version__ = "0.1.0"

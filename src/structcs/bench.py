@@ -53,11 +53,15 @@ __all__ = [
     "run_trial",
     "success_curve",
     "write_plot_script",
+    "write_run",
 ]
 
 KNOWN_KINDS = ("iid", "toeplitz", "toeplitz-block", "circulant-block")
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
+
+# the curve's file name inside a run directory
+CURVE_CSV = "curve.csv"
 
 
 @dataclass(frozen=True)
@@ -404,7 +408,7 @@ def success_curve(
     return SuccessCurve(config=config, cells=out)
 
 
-def write_plot_script(path, csv_name: str = "curve.csv", kinds=KNOWN_KINDS) -> None:
+def write_plot_script(path, kinds=KNOWN_KINDS) -> None:
     """Emit a gnuplot script that renders the curve CSV."""
     lines = [
         "# gnuplot script; expects the curve CSV in the same directory",
@@ -415,9 +419,23 @@ def write_plot_script(path, csv_name: str = "curve.csv", kinds=KNOWN_KINDS) -> N
         "set yrange [0:1.05]",
     ]
     plots = [
-        f'"{csv_name}" using 2:(strcol(1) eq "{kind}" ? $5 : 1/0) '
+        f'"{CURVE_CSV}" using 2:(strcol(1) eq "{kind}" ? $5 : 1/0) '
         f'with linespoints title "{kind}"'
         for kind in kinds
     ]
     lines.append("plot " + ", \\\n     ".join(plots))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_run(out_dir, curve: SuccessCurve) -> Path:
+    """Write a run directory: the curve CSV, the config echo (itself a
+    valid bench config file) and the gnuplot script.  Returns the CSV path.
+    """
+    out_dir = Path(out_dir)
+    csv_path = out_dir / CURVE_CSV
+    curve.write_csv(csv_path)
+    (out_dir / "config-echo.json").write_text(
+        json.dumps(asdict(curve.config), indent=2, sort_keys=True) + "\n"
+    )
+    write_plot_script(out_dir / "plot.gp", kinds=curve.config.kinds)
+    return csv_path

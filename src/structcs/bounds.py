@@ -21,7 +21,7 @@ flagged vacuous rather than raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "BoundParams",
@@ -65,7 +65,6 @@ class BoundParams:
     delta: float
     c0: float | None = None
     c2: float | None = None
-    d: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -178,8 +177,4 @@ def nested_rip_success_bound(params: BoundParams, l1: int, l2: int) -> BoundResu
     """Same bound for a doubly-circulant grid: l is the product l1*l2."""
     if l1 < 1 or l2 < 1:
         raise ValueError("l1 and l2 must be >= 1")
-    merged = BoundParams(
-        m=params.m, N=params.N, n=params.n, l=l1 * l2,
-        delta=params.delta, c0=params.c0, c2=params.c2, d=params.d,
-    )
-    return rip_success_bound(merged)
+    return rip_success_bound(replace(params, l=l1 * l2))

@@ -26,7 +26,6 @@ from .fastops import dense_operator
 from .matrices import (
     MatrixKind,
     build_structured,
-    spec_from_dict,
     spec_from_json,
     spec_to_dict,
     truncate_rows,
@@ -258,6 +257,8 @@ def _threads_default() -> int:
 def _cmd_bench(args) -> int:
     if args.config:
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise UsageError(f"--config {args.config} must hold a JSON object")
     else:
         preset = bench_mod.full_preset if args.preset == "full" else bench_mod.desk_preset
         data = {k: v for k, v in preset().__dict__.items()}
@@ -266,7 +267,10 @@ def _cmd_bench(args) -> int:
         value = getattr(args, field)
         if value is not None:
             data[field] = value
-    config = bench_mod.ExperimentConfig(**data)
+    try:
+        config = bench_mod.ExperimentConfig(**data)
+    except TypeError as exc:
+        raise UsageError(f"bad --config {args.config}: {exc}") from None
     threads = (_checked_threads(args.threads, "--threads") if args.threads is not None
                else _threads_default())
     out_dir = Path(args.out)
@@ -285,13 +289,8 @@ def _cmd_bench(args) -> int:
         progress=lambda kind, n, s: log.info("cell %s n=%d: %d/%d",
                                              kind, n, s, config.trials),
     )
-    curve.write_csv(out_dir / "curve.csv")
-    (out_dir / "config-echo.json").write_text(
-        json.dumps(config.__dict__, indent=2, sort_keys=True, default=list) + "\n"
-    )
-    bench_mod.write_plot_script(out_dir / "plot.gp", kinds=config.kinds)
-    _emit(args, {"out": str(out_dir), "cells": len(curve.cells),
-                 "csv": str(out_dir / "curve.csv")})
+    csv_path = bench_mod.write_run(out_dir, curve)
+    _emit(args, {"out": str(out_dir), "cells": len(curve.cells), "csv": str(csv_path)})
     return EXIT_OK
 
 

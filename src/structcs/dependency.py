@@ -56,10 +56,6 @@ class SupportSet:
             raise ValueError("support indices must be nonnegative")
         object.__setattr__(self, "indices", idx)
 
-    @classmethod
-    def of(cls, *indices):
-        return cls(tuple(indices))
-
     @property
     def size(self) -> int:
         return len(self.indices)

@@ -6,6 +6,10 @@ band in a circulant sequence of power-of-two length >= k + l - 1, FFT
 along the block axis, multiply blockwise in the frequency domain, and
 invert.  ``dense_matvec`` is the exact oracle the fast path is tested
 against.
+
+``structured_operator`` is library-only: the CLI and the bench decode
+with ``dense_operator``, which is also what ``basis_pursuit`` and
+``omp`` wrap a plain array in.
 """
 
 from __future__ import annotations
@@ -148,7 +152,9 @@ def fast_adjoint_matvec(spec: BlockStructureSpec, blocks: np.ndarray, y) -> np.n
 
 
 def dense_operator(matrix) -> LinearOperator:
-    entries = matrix.entries if isinstance(matrix, SensingMatrix) else np.asarray(matrix)
+    """Operator view of a SensingMatrix or any array-like, as float."""
+    entries = np.asarray(matrix.entries if isinstance(matrix, SensingMatrix) else matrix,
+                         dtype=float)
     return LinearOperator(
         entries.shape,
         forward=lambda x: entries @ x,
@@ -157,7 +163,7 @@ def dense_operator(matrix) -> LinearOperator:
     )
 
 
-def structured_operator(matrix: SensingMatrix, prefer_fast: bool = True) -> LinearOperator:
+def structured_operator(matrix: SensingMatrix) -> LinearOperator:
     """Operator view of a sensing matrix, FFT-backed where supported.
 
     Kinds without a fast path (IID, doubly-nested blocks, deterministic,
@@ -165,10 +171,7 @@ def structured_operator(matrix: SensingMatrix, prefer_fast: bool = True) -> Line
     which path was taken.
     """
     spec = matrix.spec
-    fast_ok = (
-        prefer_fast and spec.kind in FAST_KINDS and not matrix.is_truncated
-    )
-    if not fast_ok:
+    if spec.kind not in FAST_KINDS or matrix.is_truncated:
         return dense_operator(matrix)
     blocks = distinct_blocks(matrix)
     return LinearOperator(

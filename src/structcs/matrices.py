@@ -458,19 +458,28 @@ def spec_to_dict(spec: BlockStructureSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> BlockStructureSpec:
-    nested = data.get("nested")
-    inner = None
-    if nested is not None:
-        inner = InnerSpec(MatrixKind(nested["kind"]), nested["k"], nested["l"],
-                          nested["d"], nested["e"])
-    dist = EntryDistribution(
-        DistributionKind(data["distribution"]["kind"]),
-        data["distribution"]["scale_rows"],
-    )
-    return BlockStructureSpec(
-        MatrixKind(data["kind"]), data["k"], data["l"], data["d"], data["e"],
-        dist, data["seed"], nested=inner,
-    )
+    """Inverse of :func:`spec_to_dict`.  A non-object, a missing key or a
+    value of the wrong type raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(data).__name__}")
+    try:
+        nested = data.get("nested")
+        inner = None
+        if nested is not None:
+            inner = InnerSpec(MatrixKind(nested["kind"]), nested["k"], nested["l"],
+                              nested["d"], nested["e"])
+        dist = EntryDistribution(
+            DistributionKind(data["distribution"]["kind"]),
+            data["distribution"]["scale_rows"],
+        )
+        return BlockStructureSpec(
+            MatrixKind(data["kind"]), data["k"], data["l"], data["d"], data["e"],
+            dist, data["seed"], nested=inner,
+        )
+    except KeyError as exc:
+        raise ValueError(f"spec is missing the key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed spec: {exc}") from None
 
 
 def spec_to_json(spec: BlockStructureSpec) -> str:

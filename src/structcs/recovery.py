@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fastops import LinearOperator
+from .fastops import LinearOperator, dense_operator
 
 __all__ = [
     "SparseSignal",
@@ -82,16 +82,12 @@ class RecoveryResult:
         self.estimate.setflags(write=False)
 
 
+# DR iterations between support-polish attempts
+POLISH_EVERY = 25
+
+
 def _as_operator(op) -> LinearOperator:
-    if isinstance(op, LinearOperator):
-        return op
-    entries = np.asarray(op, dtype=float)
-    return LinearOperator(
-        entries.shape,
-        forward=lambda x: entries @ x,
-        adjoint=lambda y: entries.T @ y,
-        backend="dense",
-    )
+    return op if isinstance(op, LinearOperator) else dense_operator(op)
 
 
 class _AffineProjector:
@@ -171,7 +167,6 @@ def basis_pursuit(
     y,
     tol: float = 1e-7,
     max_iter: int = 3000,
-    polish_every: int = 25,
 ) -> RecoveryResult:
     """Minimum-l1 solution of Ax = y via Douglas-Rachford splitting.
 
@@ -218,7 +213,7 @@ def basis_pursuit(
         if gap <= tol * scale:
             status = RecoveryStatus.CONVERGED
             break
-        if polish_every and it % polish_every == 0:
+        if it % POLISH_EVERY == 0:
             support = tuple(np.nonzero(x)[0].tolist())
             if support and support != last_support:
                 last_support = support
@@ -245,7 +240,7 @@ def basis_pursuit(
     return RecoveryResult(best, it, residual, status)
 
 
-def omp(op, y, sparsity: int, tol: float = 1e-10, max_iter: int | None = None) -> RecoveryResult:
+def omp(op, y, sparsity: int, tol: float = 1e-10) -> RecoveryResult:
     """Greedy decoder: correlation pick, least-squares refit, repeat.
 
     Stops after ``sparsity`` picks or when the residual drops below
@@ -263,12 +258,11 @@ def omp(op, y, sparsity: int, tol: float = 1e-10, max_iter: int | None = None) -
     support: list[int] = []
     cols = np.empty((n, 0))
     coef = np.empty(0)
-    steps = max_iter if max_iter is not None else sparsity
     it = 0
     if float(np.linalg.norm(resid)) <= stop:
         return RecoveryResult(np.zeros(N), 0, float(np.linalg.norm(resid)),
                               RecoveryStatus.CONVERGED)
-    for it in range(1, steps + 1):
+    for it in range(1, sparsity + 1):
         corr = np.abs(op.adjoint(resid))
         corr[support] = -1.0
         pick = int(np.argmax(corr))

@@ -59,16 +59,9 @@ def _entries(matrix) -> np.ndarray:
 def delta_for_support(matrix, support: SupportSet) -> float:
     """max(sigma_max^2 - 1, 1 - sigma_min^2) over the support columns."""
     A = _entries(matrix)
-    cols = list(support.indices)
-    if cols[-1] >= A.shape[1]:
-        raise IndexError(f"support exceeds {A.shape[1]} columns")
-    if support.size > A.shape[0]:
-        # more columns than rows: Gram is singular, still well-defined
-        pass
-    sub = A[:, cols]
-    gram = sub.T @ sub
-    eig = np.linalg.eigvalsh(gram)
-    return float(max(eig[-1] - 1.0, 1.0 - eig[0]))
+    support.validate_against(A.shape[1])
+    sub = A[:, list(support.indices)]
+    return float(_gram_deltas(sub.T @ sub))
 
 
 def _gram_deltas(gram_stack: np.ndarray) -> np.ndarray:
@@ -76,7 +69,7 @@ def _gram_deltas(gram_stack: np.ndarray) -> np.ndarray:
     return np.maximum(eig[..., -1] - 1.0, 1.0 - eig[..., 0])
 
 
-def _scan_supports(A, supports_iter, m, chunk=4096):
+def _scan_supports(A, supports_iter, chunk=4096):
     """Max delta over an iterable of supports, deterministic tie-break.
 
     Supports are consumed in order and the first support achieving the
@@ -122,7 +115,7 @@ def delta_exhaustive(matrix, m: int, guard: int = EXHAUSTIVE_GUARD) -> RipEstima
         raise GuardExceededError(
             f"C({N},{m}) = {n_supports} supports exceeds the guard {guard}"
         )
-    delta, support = _scan_supports(A, itertools.combinations(range(N), m), m)
+    delta, support = _scan_supports(A, itertools.combinations(range(N), m))
     return RipEstimate(
         order=m, delta=delta, method="exhaustive", worst_support=SupportSet(support)
     )
@@ -142,7 +135,7 @@ def delta_monte_carlo(matrix, m: int, samples: int, seed: int) -> RipEstimate:
         for _ in range(samples):
             yield tuple(sorted(rng.choice(N, size=m, replace=False).tolist()))
 
-    delta, support = _scan_supports(A, draws(), m)
+    delta, support = _scan_supports(A, draws())
     return RipEstimate(
         order=m,
         delta=delta,

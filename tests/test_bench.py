@@ -6,7 +6,9 @@ import pytest
 
 from structcs import bench
 from structcs.bench import (
+    CurveCell,
     ExperimentConfig,
+    SuccessCurve,
     desk_preset,
     full_preset,
     generate_sparse_signal,
@@ -15,6 +17,7 @@ from structcs.bench import (
     success_curve,
     wilson_interval,
     write_plot_script,
+    write_run,
 )
 from structcs.bench import _derive_seed, _one_blas_thread
 from structcs.matrices import MatrixKind
@@ -245,3 +248,15 @@ class TestConfigsAndOutputs:
         write_plot_script(path, kinds=("iid", "toeplitz"))
         text = path.read_text()
         assert '"iid"' in text and '"toeplitz"' in text and "curve.csv" in text
+
+    def test_write_run_echo_is_a_valid_config(self, tmp_path):
+        cfg = tiny_config()
+        cells = tuple(CurveCell(kind, n, n % cfg.trials, cfg.trials)
+                      for kind in cfg.kinds for n in cfg.n_grid)
+        csv_path = write_run(tmp_path, SuccessCurve(cfg, cells))
+        assert csv_path == tmp_path / "curve.csv"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config-echo.json", "curve.csv", "plot.gp"]
+        assert '"curve.csv"' in (tmp_path / "plot.gp").read_text()
+        echo = json.loads((tmp_path / "config-echo.json").read_text())
+        assert ExperimentConfig(**echo) == cfg

@@ -246,6 +246,34 @@ class TestBench:
                 == (tmp_path / "b" / "config-echo.json").read_bytes())
 
 
+_MALFORMED_INPUTS = {
+    "config-unknown-key": ("bench", {"N": 32, "m": 2, "kinds": ["iid"], "n_grid": [32],
+                                     "trials": 1, "bogus": 1}),
+    "config-missing-key": ("bench", {"N": 32, "m": 2, "kinds": ["iid"], "n_grid": [32]}),
+    "config-list": ("bench", [1, 2, 3]),
+    "spec-no-distribution": ("build", {"kind": "iid", "k": 4, "l": 2, "d": 2, "e": 2,
+                                       "nested": None, "seed": 0}),
+    "spec-distribution-not-object": ("build", {"kind": "iid", "k": 4, "l": 2, "d": 2,
+                                               "e": 2, "distribution": "gaussian",
+                                               "nested": None, "seed": 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_input_file_exits_2(tmp_path, capsys, case):
+    command, content = _MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / ("run" if command == "bench" else "m.csv")
+    flag = "--config" if command == "bench" else "--spec"
+    assert main([command, flag, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    if case == "spec-no-distribution":
+        assert "'distribution'" in err
+    assert not out.exists()
+
+
 class TestDispatch:
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(

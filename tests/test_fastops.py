@@ -197,3 +197,7 @@ def test_speedup_reported_not_asserted(capsys):
     fft_t = time.perf_counter() - t0
     print(f"[report] 512x4096 scalar band matvec: dense {dense_t / 10 * 1e3:.2f} ms, "
           f"fft {fft_t / 10 * 1e3:.2f} ms, ratio {dense_t / fft_t:.1f}x")
+    # the timing is only reported, but the products must agree at this size
+    dense_y = M.entries @ x
+    rel = np.linalg.norm(fast_matvec(spec, blocks, x) - dense_y) / np.linalg.norm(dense_y)
+    assert rel <= 1e-10

@@ -160,6 +160,22 @@ class TestOmp:
             omp(np.eye(3), np.ones(3), sparsity=4)
 
 
+@pytest.mark.parametrize("decode", [
+    lambda A, y: basis_pursuit(A, y, tol=1e-8),
+    lambda A, y: omp(A, y, sparsity=3),
+], ids=["bp", "omp"])
+def test_array_and_dense_operator_decode_identically(decode):
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((30, 90)) / np.sqrt(30)
+    x = np.zeros(90)
+    x[[4, 33, 71]] = [1.5, -0.7, 2.0]
+    y = A @ x
+    from_array, from_op = decode(A, y), decode(dense_operator(A), y)
+    np.testing.assert_array_equal(from_array.estimate, from_op.estimate)
+    assert from_array.iterations == from_op.iterations
+    assert from_array.status is from_op.status
+
+
 class TestErrorBimodality:
     def test_error_histogram_has_a_gap_around_threshold(self):
         # mixed easy and hard instances: relative errors cluster either
