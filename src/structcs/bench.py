@@ -18,6 +18,7 @@ import functools
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import tempfile
@@ -55,6 +56,8 @@ __all__ = [
     "write_plot_script",
     "write_run",
 ]
+
+log = logging.getLogger("structcs.bench")
 
 KNOWN_KINDS = ("iid", "toeplitz", "toeplitz-block", "circulant-block")
 
@@ -255,8 +258,9 @@ def run_trial(config: ExperimentConfig, kind: str, n: int, trial_index: int) -> 
     """One seeded build-measure-decode round; True on exact recovery.
 
     The signal seed omits the kind so all kinds share signals at a
-    fixed (n, trial); the matrix seed includes it.  Any solver failure
-    counts as a non-success.  The trial runs on one BLAS thread.
+    fixed (n, trial); the matrix seed includes it.  A solver failure
+    (LinAlgError or ValueError) counts as a non-success and logs one
+    WARNING.  The trial runs on one BLAS thread.
     """
     with _one_blas_thread():
         signal_seed = _derive_seed(config.master_seed, "signal", n, trial_index)
@@ -272,7 +276,9 @@ def run_trial(config: ExperimentConfig, kind: str, n: int, trial_index: int) -> 
                                        max_iter=config.solver_max_iter)
             else:
                 result = omp(op, y, config.m, tol=config.solver_tol)
-        except (np.linalg.LinAlgError, ValueError):
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            log.warning("%s n=%d trial %d: decoder raised %s: %s; scored not recovered",
+                        kind, n, trial_index, type(exc).__name__, exc)
             return False
         if result.status is RecoveryStatus.INFEASIBLE:
             return False

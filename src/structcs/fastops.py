@@ -46,6 +46,8 @@ class LinearOperator:
     "dense"); a structured operator falls back to "dense" when the spec
     kind has no fast path.  Maps accept 1-D vectors or 2-D (dim, batch)
     arrays and are pure, so one operator can be shared across threads.
+    ``gram`` and ``columns`` are derived from the maps; the dense operator
+    reads them off its array instead.
     """
 
     def __init__(self, shape, forward, adjoint, backend="dense"):
@@ -65,6 +67,40 @@ class LinearOperator:
         if y.shape[0] != self.shape[0]:
             raise ValueError(f"adjoint expects length {self.shape[0]}, got {y.shape[0]}")
         return self._adjoint(y)
+
+    def gram(self) -> np.ndarray:
+        """A A^T, as the forward of the adjoint of the n x n identity."""
+        return self.forward(self.adjoint(np.eye(self.shape[0])))
+
+    def columns(self, idx) -> np.ndarray:
+        """The columns A[:, idx] as an (n, len(idx)) array, one unit-vector
+        forward each."""
+        n, N = self.shape
+        out = np.zeros((n, len(idx)))
+        for i, j in enumerate(idx):
+            e = np.zeros(N)
+            e[j] = 1.0
+            out[:, i] = self.forward(e)
+        return out
+
+
+class _DenseOperator(LinearOperator):
+    """A held array: the Gram and the columns come from it directly, with
+    the same bits as the generic unit-vector products."""
+
+    def __init__(self, entries: np.ndarray):
+        super().__init__(entries.shape, forward=lambda x: entries @ x,
+                         adjoint=lambda y: entries.T @ y, backend="dense")
+        self.entries = entries
+
+    def gram(self) -> np.ndarray:
+        # the same GEMM as A (A^T I); SYRK's A @ A.T can differ in the last bit
+        return self.entries @ np.ascontiguousarray(self.entries.T)
+
+    def columns(self, idx) -> np.ndarray:
+        # take, not entries[:, idx]: the slice is Fortran-ordered, and BLAS
+        # products with it differ in the last bit from the C-ordered stack
+        return self.entries.take(idx, axis=1)
 
 
 def dense_matvec(matrix, x) -> np.ndarray:
@@ -153,14 +189,8 @@ def fast_adjoint_matvec(spec: BlockStructureSpec, blocks: np.ndarray, y) -> np.n
 
 def dense_operator(matrix) -> LinearOperator:
     """Operator view of a SensingMatrix or any array-like, as float."""
-    entries = np.asarray(matrix.entries if isinstance(matrix, SensingMatrix) else matrix,
-                         dtype=float)
-    return LinearOperator(
-        entries.shape,
-        forward=lambda x: entries @ x,
-        adjoint=lambda y: entries.T @ y,
-        backend="dense",
-    )
+    return _DenseOperator(np.asarray(
+        matrix.entries if isinstance(matrix, SensingMatrix) else matrix, dtype=float))
 
 
 def structured_operator(matrix: SensingMatrix) -> LinearOperator:

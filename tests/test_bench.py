@@ -1,4 +1,5 @@
 import json
+import logging
 import time
 
 import numpy as np
@@ -21,6 +22,49 @@ from structcs.bench import (
 )
 from structcs.bench import _derive_seed, _one_blas_thread
 from structcs.matrices import MatrixKind
+
+
+# success_curve(desk_preset(master_seed=2, trials=2), threads=1).to_csv_text():
+# a change that moves any verdict of this sweep must explain itself
+DESK_SEED2_TRIALS2_CSV = """\
+kind,n,successes,trials,fraction,ci_lo,ci_hi
+iid,40,0,2,0.000000,0.000000,0.657620
+iid,60,2,2,1.000000,0.342380,1.000000
+iid,80,2,2,1.000000,0.342380,1.000000
+iid,100,2,2,1.000000,0.342380,1.000000
+iid,120,2,2,1.000000,0.342380,1.000000
+iid,140,2,2,1.000000,0.342380,1.000000
+iid,160,2,2,1.000000,0.342380,1.000000
+iid,180,2,2,1.000000,0.342380,1.000000
+iid,200,2,2,1.000000,0.342380,1.000000
+iid,220,2,2,1.000000,0.342380,1.000000
+iid,240,2,2,1.000000,0.342380,1.000000
+iid,256,2,2,1.000000,0.342380,1.000000
+toeplitz,40,0,2,0.000000,0.000000,0.657620
+toeplitz,60,1,2,0.500000,0.094531,0.905469
+toeplitz,80,2,2,1.000000,0.342380,1.000000
+toeplitz,100,2,2,1.000000,0.342380,1.000000
+toeplitz,120,2,2,1.000000,0.342380,1.000000
+toeplitz,140,2,2,1.000000,0.342380,1.000000
+toeplitz,160,2,2,1.000000,0.342380,1.000000
+toeplitz,180,2,2,1.000000,0.342380,1.000000
+toeplitz,200,2,2,1.000000,0.342380,1.000000
+toeplitz,220,2,2,1.000000,0.342380,1.000000
+toeplitz,240,2,2,1.000000,0.342380,1.000000
+toeplitz,256,2,2,1.000000,0.342380,1.000000
+toeplitz-block,40,0,2,0.000000,0.000000,0.657620
+toeplitz-block,60,2,2,1.000000,0.342380,1.000000
+toeplitz-block,80,2,2,1.000000,0.342380,1.000000
+toeplitz-block,100,2,2,1.000000,0.342380,1.000000
+toeplitz-block,120,2,2,1.000000,0.342380,1.000000
+toeplitz-block,140,2,2,1.000000,0.342380,1.000000
+toeplitz-block,160,2,2,1.000000,0.342380,1.000000
+toeplitz-block,180,2,2,1.000000,0.342380,1.000000
+toeplitz-block,200,2,2,1.000000,0.342380,1.000000
+toeplitz-block,220,2,2,1.000000,0.342380,1.000000
+toeplitz-block,240,2,2,1.000000,0.342380,1.000000
+toeplitz-block,256,2,2,1.000000,0.342380,1.000000
+"""
 
 
 def tiny_config(**overrides):
@@ -135,6 +179,20 @@ class TestRunTrial:
         mb = _derive_seed(cfg.master_seed, "matrix", "toeplitz", 24, 3)
         assert ma != mb
 
+    def test_decoder_error_is_logged_and_scored_false(self, monkeypatch, caplog):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular normal matrix")
+
+        monkeypatch.setattr(bench, "basis_pursuit", broken)
+        with caplog.at_level(logging.WARNING, logger="structcs.bench"):
+            assert run_trial(tiny_config(), "toeplitz", 24, 3) is False
+        [record] = caplog.records
+        assert record.name == "structcs.bench"
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        for part in ("toeplitz", "n=24", "trial 3", "LinAlgError: singular normal matrix"):
+            assert part in message
+
 
 class TestOneBlasThread:
     @pytest.fixture
@@ -216,6 +274,10 @@ class TestSuccessCurve:
         serial = success_curve(cfg, threads=1)
         parallel = success_curve(cfg, threads=2)
         assert serial.to_csv_text() == parallel.to_csv_text()
+
+    def test_desk_csv_matches_golden(self):
+        cfg = desk_preset(master_seed=2, trials=2)
+        assert success_curve(cfg, threads=1).to_csv_text() == DESK_SEED2_TRIALS2_CSV
 
     def test_pool_caches_cells_as_they_finish(self, tmp_path, monkeypatch):
         cfg = tiny_config(trials=1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structcs.fastops import (
+    LinearOperator,
     UnsupportedStructureError,
     dense_matvec,
     dense_operator,
@@ -173,6 +174,40 @@ class TestOperators:
         op = structured_operator(M)
         X = np.random.default_rng(0).standard_normal((M.N, 5))
         np.testing.assert_allclose(op.forward(X), M.entries @ X, rtol=1e-10)
+
+
+class TestGramAndColumns:
+    @pytest.mark.parametrize("n,N", [(40, 512), (256, 512), (580, 2048)])
+    def test_dense_gram_is_the_adjoint_of_identity_product(self, n, N):
+        A = np.random.default_rng(n).standard_normal((n, N)) / np.sqrt(n)
+        np.testing.assert_array_equal(dense_operator(A).gram(), A @ (A.T @ np.eye(n)))
+
+    def test_columns_are_slices_and_unit_forwards(self):
+        A = np.random.default_rng(4).standard_normal((30, 90))
+        S = (7, 0, 88, 41)
+        op = dense_operator(A)
+        unit = np.stack([op.forward(np.eye(90)[j]) for j in S], axis=1)
+        np.testing.assert_array_equal(op.columns(S), A[:, S])
+        np.testing.assert_array_equal(op.columns(S), unit)
+        # the stacked forwards' C order, which later BLAS products depend on
+        assert op.columns(S).flags.c_contiguous
+        assert op.columns(()).shape == (30, 0)
+
+    def test_generic_operator_derives_gram_and_columns_from_its_maps(self):
+        A = np.random.default_rng(5).standard_normal((20, 60))
+        plain = LinearOperator(A.shape, lambda x: A @ x, lambda y: A.T @ y)
+        dense = dense_operator(A)
+        np.testing.assert_array_equal(plain.gram(), dense.gram())
+        np.testing.assert_array_equal(plain.columns([3, 59, 3]), dense.columns([3, 59, 3]))
+        assert plain.columns([]).shape == (20, 0)
+
+    def test_fft_operator_columns_and_gram_match_dense(self):
+        M = build_structured(toeplitz_block_spec(8, 4, 3, 2, seed=9))
+        op = structured_operator(M)
+        assert op.backend == "fft"
+        np.testing.assert_allclose(op.columns([0, 5, 15]), M.entries[:, [0, 5, 15]],
+                                   atol=1e-12)
+        np.testing.assert_allclose(op.gram(), M.entries @ M.entries.T, atol=1e-10)
 
 
 def test_speedup_reported_not_asserted(capsys):

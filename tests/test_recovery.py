@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from structcs import bench
 from structcs.devore import build_devore
-from structcs.fastops import dense_operator, structured_operator
+from structcs.fastops import LinearOperator, dense_operator, structured_operator
 from structcs.matrices import build_structured, iid_spec, toeplitz_block_spec
 from structcs.recovery import (
     RecoveryStatus,
@@ -174,6 +177,72 @@ def test_array_and_dense_operator_decode_identically(decode):
     np.testing.assert_array_equal(from_array.estimate, from_op.estimate)
     assert from_array.iterations == from_op.iterations
     assert from_array.status is from_op.status
+
+
+def desk_trial(kind, n, trial, master_seed=2):
+    """The matrix, signal and measurement of one desk-preset bench trial."""
+    cfg = bench.desk_preset(master_seed=master_seed)
+    signal = bench.generate_sparse_signal(
+        cfg.N, cfg.m, bench._derive_seed(master_seed, "signal", n, trial))
+    spec = bench.spec_template(kind, cfg.N, cfg.m, cfg.distribution, n,
+                               bench._derive_seed(master_seed, "matrix", kind, n, trial))
+    A = build_structured(spec).entries
+    return cfg, A, signal, A @ signal.to_dense()
+
+
+def assert_same_result(a, b):
+    np.testing.assert_array_equal(a.estimate, b.estimate)
+    assert a.iterations == b.iterations
+    assert a.status is b.status
+    assert a.residual_norm == b.residual_norm
+
+
+@pytest.mark.parametrize("kind,n,trial", [
+    ("iid", 60, 0),
+    ("toeplitz", 60, 1),
+    ("toeplitz-block", 120, 3),
+    ("toeplitz", 80, 25),  # stops at MAX_ITER
+])
+def test_generic_operator_decodes_like_dense_on_desk_trials(kind, n, trial):
+    # the generic Gram and unit-vector columns against the dense operator's
+    # own Gram product and slices: every output bit must agree
+    cfg, A, signal, y = desk_trial(kind, n, trial)
+    plain = LinearOperator(A.shape, lambda x: A @ x, lambda v: A.T @ v)
+    dense = dense_operator(A)
+    bp = [basis_pursuit(op, y, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+          for op in (plain, dense)]
+    assert_same_result(*bp)
+    if (kind, n, trial) == ("toeplitz", 80, 25):
+        assert bp[0].status is RecoveryStatus.MAX_ITER
+    assert_same_result(*(omp(op, y, cfg.m, tol=cfg.solver_tol) for op in (plain, dense)))
+
+
+def _poisoned_operator(A, clean_calls):
+    """Forward returns NaN once it has been called ``clean_calls`` times."""
+    calls = []
+
+    def forward(x):
+        calls.append(None)
+        out = A @ x
+        return out if len(calls) <= clean_calls else np.full_like(out, np.nan)
+
+    return LinearOperator(A.shape, forward, lambda y: A.T @ y)
+
+
+def test_non_finite_iterate_raises():
+    _, A, _, y = desk_trial("iid", 100, 0)
+    # calls 1-2: the Gram and the feasibility check; the loop's third
+    # projection is the first to see NaN
+    with pytest.raises(ValueError, match="not finite"):
+        basis_pursuit(_poisoned_operator(A, 4), y)
+
+
+def test_non_finite_iterate_scores_trial_false(monkeypatch, caplog):
+    cfg = bench.desk_preset(master_seed=2)
+    monkeypatch.setattr(bench, "dense_operator", lambda M: _poisoned_operator(M.entries, 5))
+    with caplog.at_level(logging.WARNING, logger="structcs.bench"):
+        assert bench.run_trial(cfg, "iid", 100, 0) is False
+    assert "ValueError: iterate is not finite" in caplog.text
 
 
 class TestErrorBimodality:
