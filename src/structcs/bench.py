@@ -86,12 +86,22 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        if self.N < 1:
+            raise ValueError(f"N must be >= 1, got {self.N}")
+        if not 0 <= self.m <= self.N:
+            raise ValueError(f"m must be in 0..{self.N}, got {self.m}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.kinds or not self.n_grid:
+            raise ValueError("kinds and n_grid must not be empty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be strictly increasing")
-        if any(n > self.N for n in self.n_grid):
-            raise ValueError("every n must be <= N")
+        if not all(1 <= n <= self.N for n in self.n_grid):
+            raise ValueError(f"every n must be in 1..{self.N}")
+        if self.solver_max_iter < 1:
+            raise ValueError(f"solver_max_iter must be >= 1, got {self.solver_max_iter}")
+        if not (self.solver_tol > 0 and self.success_rel_tol > 0):
+            raise ValueError("solver_tol and success_rel_tol must be > 0")
         for kind in self.kinds:
             if kind not in KNOWN_KINDS:
                 raise ValueError(f"unknown matrix kind template {kind!r}")

@@ -407,10 +407,7 @@ def main(argv=None) -> int:
                         format="%(name)s: %(message)s", force=True)
     try:
         return _DISPATCH[args.command](args)
-    except (UsageError, GuardExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, IndexError, FileNotFoundError) as exc:
+    except (ValueError, GuardExceededError, IndexError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

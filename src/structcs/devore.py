@@ -24,7 +24,6 @@ enters only at the final scaling.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +35,9 @@ from .matrices import (
     EntryDistribution,
     MatrixKind,
     SensingMatrix,
+    label_grid,
 )
-from .ripest import EXHAUSTIVE_GUARD, GuardExceededError
+from .ripest import EXHAUSTIVE_GUARD, _all_supports, _chunks, _gram_deltas
 
 __all__ = [
     "PolySpec",
@@ -160,23 +160,10 @@ def _graph_columns(p: int, r: int, count: int) -> np.ndarray:
     return cols
 
 
-def _deterministic_spec(p, r, k, l, d, e, seed=0) -> BlockStructureSpec:
-    dist = EntryDistribution(DistributionKind.BERNOULLI, l * d)
-    return BlockStructureSpec(MatrixKind.DETERMINISTIC, k, l, d, e, dist, seed)
-
-
 def build_devore(p: int, r: int, n_cols: int | None = None) -> SensingMatrix:
-    """The p^2 x n_cols polynomial-graph matrix, scaled to unit columns."""
-    total = p ** (r + 1)
-    if n_cols is None:
-        n_cols = total
-    if not 1 <= n_cols <= total:
-        raise ValueError(f"n_cols must be in 1..{total}, got {n_cols}")
-    raw = _graph_columns(p, r, n_cols)
-    entries = raw / math.sqrt(p)
-    var_id = np.arange(entries.size, dtype=np.int64).reshape(entries.shape)
-    spec = _deterministic_spec(p, r, k=n_cols, l=1, d=p * p, e=1)
-    return SensingMatrix(entries=entries, spec=spec, var_id=var_id)
+    """The p^2 x n_cols polynomial-graph matrix, scaled to unit columns:
+    the one-block case of :func:`build_devore_block`."""
+    return build_devore_block(PolySpec(p, r, l=n_cols))
 
 
 def build_devore_block(spec: PolySpec) -> SensingMatrix:
@@ -188,20 +175,14 @@ def build_devore_block(spec: PolySpec) -> SensingMatrix:
     so after the 1/sqrt(s*p) scaling all columns are unit norm.
     """
     p, r, t, s, l = spec.p, spec.r, spec.t, spec.s, spec.l
-    raw = _graph_columns(p, r, t * l)
     d = p * p
-    blocks = [raw[:, b * l : (b + 1) * l] for b in range(t)]
-    grid_raw = np.zeros((s * d, t * l), dtype=np.int64)
-    var_id = np.zeros((s * d, t * l), dtype=np.int64)
-    leaf = np.arange(d * l, dtype=np.int64).reshape(d, l)
-    for i in range(s):
-        for j in range(t):
-            b = (t - 1 + i - j) % t
-            grid_raw[i * d : (i + 1) * d, j * l : (j + 1) * l] = blocks[b]
-            var_id[i * d : (i + 1) * d, j * l : (j + 1) * l] = b * d * l + leaf
-    entries = grid_raw / math.sqrt(s * p)
-    mspec = _deterministic_spec(p, r, k=t, l=s, d=d, e=l)
-    return SensingMatrix(entries=entries, spec=mspec, var_id=var_id)
+    raw = _graph_columns(p, r, t * l)
+    # the label pool holds the graph columns block by block
+    pool = raw.reshape(d, t, l).transpose(1, 0, 2).ravel() / math.sqrt(s * p)
+    dist = EntryDistribution(DistributionKind.BERNOULLI, s * d)
+    mspec = BlockStructureSpec(MatrixKind.DETERMINISTIC, t, s, d, l, dist, seed=0)
+    var_id = label_grid(mspec)
+    return SensingMatrix(entries=pool[var_id], spec=mspec, var_id=var_id)
 
 
 @dataclass(frozen=True)
@@ -236,11 +217,7 @@ def verify_rip_guarantee(
     N = matrix.N
     if m > N:
         raise ValueError(f"m={m} exceeds {N} columns")
-    n_supports = math.comb(N, m)
-    if n_supports > guard:
-        raise GuardExceededError(
-            f"C({N},{m}) = {n_supports} supports exceeds the guard {guard}"
-        )
+    n_supports, supports = _all_supports(N, m, guard)
     raw = np.rint(matrix.entries * math.sqrt(s * p)).astype(np.int64)
     raw_gram = raw.T @ raw  # exact integers
     off = raw_gram - np.diag(np.diag(raw_gram))
@@ -254,13 +231,7 @@ def verify_rip_guarantee(
     worst_eig = 0.0
     worst_rowsum = 0.0
     ok = True
-    supports = itertools.combinations(range(N), m)
-    chunk = 2048
-    while True:
-        block = list(itertools.islice(supports, chunk))
-        if not block:
-            break
-        idx = np.array(block)
+    for idx in _chunks(supports, 2048):
         sub_raw = raw_gram[idx[:, :, None], idx[:, None, :]]
         sub_off = sub_raw - s * p * np.eye(m, dtype=np.int64)
         # exact integer row-sum check: sum of off-diagonal raw entries
@@ -268,9 +239,7 @@ def verify_rip_guarantee(
         worst_rowsum = max(worst_rowsum, float(rowsums.max()) / scale)
         if (rowsums > (m - 1) * s * r).any():
             ok = False
-        eig = np.linalg.eigvalsh(sub_raw / scale)
-        dev = np.maximum(eig[:, -1] - 1.0, 1.0 - eig[:, 0]).max()
-        worst_eig = max(worst_eig, float(dev))
+        worst_eig = max(worst_eig, float(_gram_deltas(sub_raw / scale).max()))
     tol = 1e-9
     if worst_eig > delta_bound + tol or worst_rowsum > delta_bound + tol:
         ok = False

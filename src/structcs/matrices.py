@@ -16,10 +16,17 @@ rows and blocks of shape ``d x e``:
 * Circulant-block: block number ``(k - 1 + i - j) % k``; ``k`` distinct
   blocks.  Indices wrap modulo ``k`` for any ``l`` (the displayed layout
   only needs ``l <= k + 1``; larger ``l`` repeats block rows, which we
-  allow and flag as an extension).
+  allow and flag as an extension).  The deterministic kind built by
+  :mod:`structcs.devore` uses the same circulant numbering.
+* IID is the ``1 x 1`` grid: one block covering the whole matrix.
 * Nested kinds place a circulant grid of scalar entries (or of IID
   sub-blocks) inside each outer block; distinct outer blocks are fresh
   samples of the inner structure.
+
+Labels run block by block: block ``b`` owns labels ``b * per_block`` to
+``(b + 1) * per_block - 1``.  :func:`label_grid` turns a spec into its
+``n x N`` label grid, and every builder gathers its entries from a pool
+of values through it.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ __all__ = [
     "SensingMatrix",
     "sample_iid",
     "build_structured",
+    "label_grid",
     "column_block_of",
     "distinct_blocks",
     "distinct_label_count",
@@ -283,11 +291,7 @@ def _block_id_grid(kind: MatrixKind, k: int, l: int) -> np.ndarray:
     i = np.arange(l)[:, None]
     j = np.arange(k)[None, :]
     ids = (k - 1) + i - j
-    if kind in (
-        MatrixKind.CIRCULANT_BLOCK,
-        MatrixKind.CIRCULANT_CIRCULANT,
-        MatrixKind.CIRCULANT_CIRCULANT_BLOCK,
-    ):
+    if kind is not MatrixKind.TOEPLITZ_BLOCK:
         ids = ids % k
     return ids
 
@@ -317,10 +321,15 @@ def _inner_labels(spec: BlockStructureSpec) -> tuple[np.ndarray, int]:
     return grid, inner.k * inner.d * inner.e
 
 
+def label_grid(spec: BlockStructureSpec) -> np.ndarray:
+    """The n x N label grid: entry (i, j) copies pool value ``grid[i, j]``."""
+    inner, per_block = _inner_labels(spec)
+    bid = _block_id_grid(spec.kind, spec.k, spec.l)
+    return _tile_labels(bid, inner, per_block).astype(np.int64, copy=False)
+
+
 def distinct_label_count(spec: BlockStructureSpec) -> int:
     """Number of independent scalar random variables behind the matrix."""
-    if spec.kind is MatrixKind.IID:
-        return spec.n * spec.N
     _, per_block = _inner_labels(spec)
     return _num_blocks(spec.kind, spec.k, spec.l) * per_block
 
@@ -330,29 +339,22 @@ def _sample_pool(spec: BlockStructureSpec) -> np.ndarray:
 
     Substreams are derived from ``(seed, block)`` or
     ``(seed, block, inner_block)``, so the sampling order of blocks is
-    irrelevant to the result.
+    irrelevant to the result; IID draws one stream from ``(seed,)``.
     """
     dist = spec.distribution
     if spec.kind is MatrixKind.IID:
         rng = np.random.default_rng([spec.seed])
         return dist.sample(rng, spec.n * spec.N)
-    n_blocks = _num_blocks(spec.kind, spec.k, spec.l)
+    blocks = range(_num_blocks(spec.kind, spec.k, spec.l))
     if spec.nested is None:
-        per_block = spec.d * spec.e
-        pool = np.empty(n_blocks * per_block)
-        for b in range(n_blocks):
-            rng = np.random.default_rng([spec.seed, b])
-            pool[b * per_block : (b + 1) * per_block] = dist.sample(rng, per_block)
-        return pool
-    inner = spec.nested
-    leaf = inner.d * inner.e
-    per_block = inner.k * leaf
-    pool = np.empty(n_blocks * per_block)
-    for b in range(n_blocks):
-        for c in range(inner.k):
-            rng = np.random.default_rng([spec.seed, b, c])
-            start = b * per_block + c * leaf
-            pool[start : start + leaf] = dist.sample(rng, leaf)
+        keys, size = [(spec.seed, b) for b in blocks], spec.d * spec.e
+    else:
+        inner = spec.nested
+        keys = [(spec.seed, b, c) for b in blocks for c in range(inner.k)]
+        size = inner.d * inner.e
+    pool = np.empty(len(keys) * size)
+    for i, key in enumerate(keys):
+        pool[i * size : (i + 1) * size] = dist.sample(np.random.default_rng(key), size)
     return pool
 
 
@@ -365,15 +367,9 @@ def build_structured(spec: BlockStructureSpec) -> SensingMatrix:
     """
     if spec.kind is MatrixKind.DETERMINISTIC:
         raise ValueError("deterministic matrices are built by structcs.devore")
-    if spec.kind is MatrixKind.IID:
-        var_id = np.arange(spec.n * spec.N, dtype=np.int64).reshape(spec.shape)
-    else:
-        inner, per_block = _inner_labels(spec)
-        bid = _block_id_grid(spec.kind, spec.k, spec.l)
-        var_id = _tile_labels(bid, inner, per_block).astype(np.int64)
     pool = _sample_pool(spec)
-    entries = pool[var_id]
-    return SensingMatrix(entries=entries, spec=spec, var_id=var_id)
+    var_id = label_grid(spec)
+    return SensingMatrix(entries=pool[var_id], spec=spec, var_id=var_id)
 
 
 def sample_iid(rows: int, cols: int, dist: EntryDistribution, seed: int) -> SensingMatrix:
@@ -394,25 +390,18 @@ def column_block_of(spec: BlockStructureSpec, col: int) -> int:
 def distinct_blocks(matrix: SensingMatrix) -> np.ndarray:
     """The distinct block values, shape (num_blocks, d, e), in block order.
 
-    Block ``b`` is read from its first occurrence in the grid: blocks
-    ``0..k-1`` appear along the top block row (right to left), and for
-    the Toeplitz kind blocks ``k..k+l-2`` continue down the left block
-    column.  Requires an untruncated matrix.
+    The entries are scattered back into the label pool and each block is
+    read through its labels.  Requires an untruncated matrix.
     """
     spec = matrix.spec
     if spec.kind is MatrixKind.IID:
         raise ValueError("an IID matrix has no repeated block structure")
     if matrix.is_truncated:
         raise ValueError("cannot extract blocks from a truncated matrix")
-    d, e = spec.d, spec.e
-    out = np.empty((_num_blocks(spec.kind, spec.k, spec.l), d, e))
-    for b in range(out.shape[0]):
-        if b < spec.k:
-            i, j = 0, spec.k - 1 - b
-        else:
-            i, j = b - spec.k + 1, 0
-        out[b] = matrix.entries[i * d : (i + 1) * d, j * e : (j + 1) * e]
-    return out
+    inner, per_block = _inner_labels(spec)
+    pool = np.empty((_num_blocks(spec.kind, spec.k, spec.l), per_block))
+    pool.ravel()[matrix.var_id] = matrix.entries
+    return pool[:, inner]
 
 
 def truncate_rows(matrix: SensingMatrix, rows: int) -> SensingMatrix:

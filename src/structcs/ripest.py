@@ -69,7 +69,26 @@ def _gram_deltas(gram_stack: np.ndarray) -> np.ndarray:
     return np.maximum(eig[..., -1] - 1.0, 1.0 - eig[..., 0])
 
 
-def _scan_supports(A, supports_iter, chunk=4096):
+def _all_supports(N: int, m: int, guard: int):
+    """Count and lexicographic iterator of all size-m supports of N columns.
+
+    Raises GuardExceededError when C(N, m) is over ``guard``.
+    """
+    n_supports = math.comb(N, m)
+    if n_supports > guard:
+        raise GuardExceededError(
+            f"C({N},{m}) = {n_supports} supports exceeds the guard {guard}"
+        )
+    return n_supports, itertools.combinations(range(N), m)
+
+
+def _chunks(supports, size: int):
+    """Consecutive (count, m) index arrays of at most ``size`` supports."""
+    while block := list(itertools.islice(supports, size)):
+        yield np.array(block)
+
+
+def _scan_supports(A, supports_iter):
     """Max delta over an iterable of supports, deterministic tie-break.
 
     Supports are consumed in order and the first support achieving the
@@ -78,15 +97,9 @@ def _scan_supports(A, supports_iter, chunk=4096):
     """
     N = A.shape[1]
     gram_full = A.T @ A if N <= 2048 else None
-    if gram_full is None:
-        chunk = min(chunk, 256)
     best_delta = -math.inf
     best_support = None
-    while True:
-        block = list(itertools.islice(supports_iter, chunk))
-        if not block:
-            break
-        idx = np.array(block)
+    for idx in _chunks(supports_iter, 4096 if gram_full is not None else 256):
         if gram_full is not None:
             sub = gram_full[idx[:, :, None], idx[:, None, :]]
         else:
@@ -110,12 +123,8 @@ def delta_exhaustive(matrix, m: int, guard: int = EXHAUSTIVE_GUARD) -> RipEstima
     N = A.shape[1]
     if not 1 <= m <= N:
         raise ValueError(f"order m must be in 1..{N}, got {m}")
-    n_supports = math.comb(N, m)
-    if n_supports > guard:
-        raise GuardExceededError(
-            f"C({N},{m}) = {n_supports} supports exceeds the guard {guard}"
-        )
-    delta, support = _scan_supports(A, itertools.combinations(range(N), m))
+    _, supports = _all_supports(N, m, guard)
+    delta, support = _scan_supports(A, supports)
     return RipEstimate(
         order=m, delta=delta, method="exhaustive", worst_support=SupportSet(support)
     )

@@ -246,10 +246,20 @@ class TestBench:
                 == (tmp_path / "b" / "config-echo.json").read_bytes())
 
 
+_CONFIG = {"N": 32, "m": 2, "kinds": ["iid"], "n_grid": [32], "trials": 1}
+
 _MALFORMED_INPUTS = {
-    "config-unknown-key": ("bench", {"N": 32, "m": 2, "kinds": ["iid"], "n_grid": [32],
-                                     "trials": 1, "bogus": 1}),
+    "config-unknown-key": ("bench", {**_CONFIG, "bogus": 1}),
     "config-missing-key": ("bench", {"N": 32, "m": 2, "kinds": ["iid"], "n_grid": [32]}),
+    "config-N-zero": ("bench", {**_CONFIG, "N": 0, "m": 0, "n_grid": [0]}),
+    "config-m-negative": ("bench", {**_CONFIG, "m": -1}),
+    "config-m-over-N": ("bench", {**_CONFIG, "m": 33}),
+    "config-kinds-empty": ("bench", {**_CONFIG, "kinds": []}),
+    "config-n-grid-empty": ("bench", {**_CONFIG, "n_grid": []}),
+    "config-n-zero": ("bench", {**_CONFIG, "n_grid": [0, 32]}),
+    "config-max-iter-zero": ("bench", {**_CONFIG, "solver_max_iter": 0}),
+    "config-solver-tol-zero": ("bench", {**_CONFIG, "solver_tol": 0}),
+    "config-success-tol-negative": ("bench", {**_CONFIG, "success_rel_tol": -1}),
     "config-list": ("bench", [1, 2, 3]),
     "spec-no-distribution": ("build", {"kind": "iid", "k": 4, "l": 2, "d": 2, "e": 2,
                                        "nested": None, "seed": 0}),

@@ -112,6 +112,9 @@ class TestBuildDevore:
             PolySpec(p=3, r=3)  # r >= p
         with pytest.raises(ValueError):
             PolySpec(p=3, r=1, t=4, l=3)  # t*l > 9
+        for p, r in ((4, 1), (3, 0), (3, 3)):  # the one-block case checks the same
+            with pytest.raises(ValueError):
+                build_devore(p, r)
 
 
 class TestBuildDevoreBlock:
