@@ -18,7 +18,8 @@ rows and blocks of shape ``d x e``:
   only needs ``l <= k + 1``; larger ``l`` repeats block rows, which we
   allow and flag as an extension).  The deterministic kind built by
   :mod:`structcs.devore` uses the same circulant numbering.
-* IID is the ``1 x 1`` grid: one block covering the whole matrix.
+* IID is the ``1 x 1`` grid: one block covering the whole matrix,
+  whatever the spec's ``k`` and ``l``.
 * Nested kinds place a circulant grid of scalar entries (or of IID
   sub-blocks) inside each outer block; distinct outer blocks are fresh
   samples of the inner structure.
@@ -310,10 +311,19 @@ def _tile_labels(bid: np.ndarray, inner: np.ndarray, inner_count: int) -> np.nda
     return full.reshape(l * d, k * e)
 
 
+def _grid_dims(spec: BlockStructureSpec) -> tuple[int, int, int, int]:
+    """``(k, l, d, e)`` of the block grid; IID is one ``n x N`` block
+    whatever its spec's ``k`` and ``l``."""
+    if spec.kind is MatrixKind.IID:
+        return 1, 1, spec.n, spec.N
+    return spec.k, spec.l, spec.d, spec.e
+
+
 def _inner_labels(spec: BlockStructureSpec) -> tuple[np.ndarray, int]:
     """Label grid of one block and the count of distinct labels in it."""
     if spec.nested is None:
-        return np.arange(spec.d * spec.e).reshape(spec.d, spec.e), spec.d * spec.e
+        _, _, d, e = _grid_dims(spec)
+        return np.arange(d * e).reshape(d, e), d * e
     inner = spec.nested
     leaf = np.arange(inner.d * inner.e).reshape(inner.d, inner.e)
     bid = _block_id_grid(inner.kind, inner.k, inner.l)
@@ -324,14 +334,16 @@ def _inner_labels(spec: BlockStructureSpec) -> tuple[np.ndarray, int]:
 def label_grid(spec: BlockStructureSpec) -> np.ndarray:
     """The n x N label grid: entry (i, j) copies pool value ``grid[i, j]``."""
     inner, per_block = _inner_labels(spec)
-    bid = _block_id_grid(spec.kind, spec.k, spec.l)
+    k, l, _, _ = _grid_dims(spec)
+    bid = _block_id_grid(spec.kind, k, l)
     return _tile_labels(bid, inner, per_block).astype(np.int64, copy=False)
 
 
 def distinct_label_count(spec: BlockStructureSpec) -> int:
     """Number of independent scalar random variables behind the matrix."""
     _, per_block = _inner_labels(spec)
-    return _num_blocks(spec.kind, spec.k, spec.l) * per_block
+    k, l, _, _ = _grid_dims(spec)
+    return _num_blocks(spec.kind, k, l) * per_block
 
 
 def _sample_pool(spec: BlockStructureSpec) -> np.ndarray:
@@ -390,8 +402,9 @@ def column_block_of(spec: BlockStructureSpec, col: int) -> int:
 def distinct_blocks(matrix: SensingMatrix) -> np.ndarray:
     """The distinct block values, shape (num_blocks, d, e), in block order.
 
-    The entries are scattered back into the label pool and each block is
-    read through its labels.  Requires an untruncated matrix.
+    The top block row and the left block column hold every block, so
+    their entries are scattered back into the label pool and each block
+    is read through its labels.  Requires an untruncated matrix.
     """
     spec = matrix.spec
     if spec.kind is MatrixKind.IID:
@@ -400,7 +413,9 @@ def distinct_blocks(matrix: SensingMatrix) -> np.ndarray:
         raise ValueError("cannot extract blocks from a truncated matrix")
     inner, per_block = _inner_labels(spec)
     pool = np.empty((_num_blocks(spec.kind, spec.k, spec.l), per_block))
-    pool.ravel()[matrix.var_id] = matrix.entries
+    flat = pool.ravel()
+    flat[matrix.var_id[: spec.d]] = matrix.entries[: spec.d]
+    flat[matrix.var_id[:, : spec.e]] = matrix.entries[:, : spec.e]
     return pool[:, inner]
 
 

@@ -14,6 +14,8 @@ import pytest
 
 from structcs.devore import PolySpec, build_devore, build_devore_block
 from structcs.matrices import (
+    BlockStructureSpec,
+    EntryDistribution,
     build_structured,
     circulant_block_spec,
     circulant_circulant_block_spec,
@@ -26,6 +28,9 @@ from structcs.matrices import (
 CASES = {
     "iid-gaussian": lambda: build_structured(iid_spec(6, 10, "gaussian", seed=3)),
     "iid-sparse-ternary": lambda: build_structured(iid_spec(4, 7, "sparse-ternary", seed=8)),
+    # an IID spec is one block whatever its k and l
+    "iid-spec-k4-l2-bernoulli": lambda: build_structured(BlockStructureSpec(
+        "iid", 4, 2, 2, 2, EntryDistribution("bernoulli", 4), seed=9)),
     "toeplitz-scalar-bernoulli": lambda: build_structured(
         toeplitz_block_spec(6, 5, 1, 1, "bernoulli", seed=2)),
     "toeplitz-block-gaussian": lambda: build_structured(
@@ -47,7 +52,8 @@ CASES = {
 }
 
 # IID has no repeated blocks, and build_devore's block layout is not pinned
-WITHOUT_BLOCKS = {"iid-gaussian", "iid-sparse-ternary", "devore-p3-r1", "devore-p5-r2-60"}
+WITHOUT_BLOCKS = {"iid-gaussian", "iid-sparse-ternary", "iid-spec-k4-l2-bernoulli",
+                  "devore-p3-r1", "devore-p5-r2-60"}
 
 GOLDEN = {
     "circulant-block-bernoulli": {
@@ -95,6 +101,10 @@ GOLDEN = {
     "iid-sparse-ternary": {
         "entries": "86c6f9efed69e3513f199097939bf429d3c4d9488b702974720fbac43b21b42a",
         "var_id": "1568aec3da55d768251149eea2af17cf6eecd437c81fd3bbd3ec85d338e09622",
+    },
+    "iid-spec-k4-l2-bernoulli": {
+        "entries": "4bf11fe2409a296b4b9a18644240e5d658f517236525c7dc8d1eef45ee2045a2",
+        "var_id": "e4024d57cca4d19d1c64fdc60db7f208c06d5498339125617d4fb3cdce2b0f6c",
     },
     "toeplitz-block-gaussian": {
         "entries": "8448dd495c8119842b6e0ebb8bfafa0bcea80f2a10084620435e6338138cdcec",

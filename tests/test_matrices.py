@@ -110,6 +110,14 @@ class TestBlockLayouts:
         M = build_structured(toeplitz_block_spec(4, 1, 3, 2, "gaussian", seed=9))
         assert len(np.unique(M.var_id)) == M.n * M.N
 
+    def test_iid_spec_is_one_block_whatever_k_and_l(self):
+        # a 4x8 IID spec written with k=4, l=2 and 2x2 blocks
+        spec = BlockStructureSpec(MatrixKind.IID, 4, 2, 2, 2, bernoulli(4), seed=3)
+        M = build_structured(spec)
+        assert np.array_equal(M.var_id, np.arange(32).reshape(4, 8))
+        assert distinct_label_count(spec) == 32
+        assert np.array_equal(M.entries, sample_iid(4, 8, bernoulli(4), seed=3).entries)
+
     def test_circulant_3x3_scalar_layout(self):
         M = build_structured(circulant_block_spec(3, 3, 1, 1, "bernoulli", seed=2))
         a = [M.entries[0, 2], M.entries[0, 1], M.entries[0, 0]]  # a1, a2, a3
