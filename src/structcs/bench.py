@@ -299,16 +299,17 @@ def run_trial(config: ExperimentConfig, kind: str, n: int, trial_index: int) -> 
 # curves
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial fraction."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must be in 0..trials")
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    z2 = WILSON_Z * WILSON_Z
+    denom = 1.0 + z2 / trials
+    center = (phat + z2 / (2 * trials)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -424,7 +425,7 @@ def success_curve(
     return SuccessCurve(config=config, cells=out)
 
 
-def write_plot_script(path, kinds=KNOWN_KINDS) -> None:
+def write_plot_script(path, kinds) -> None:
     """Emit a gnuplot script that renders the curve CSV."""
     lines = [
         "# gnuplot script; expects the curve CSV in the same directory",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .bounds import BoundParams, nested_rip_success_bound, rip_success_bound
+from .bounds import BoundParams, rip_success_bound
 from .dependency import SupportSet, dependency_report
 from .devore import PolySpec, build_devore_block
 from .fastops import dense_operator
@@ -70,43 +70,45 @@ def _parse_support(text: str) -> SupportSet:
         raise UsageError(f"bad --support {text!r}: {exc}") from exc
 
 
-def _spec_from_args(args) -> matrices.BlockStructureSpec:
-    if args.spec:
-        return spec_from_json(Path(args.spec).read_text())
-    if args.kind is None:
-        raise UsageError("either --spec or --kind is required")
-    kind = args.kind
-    dist = args.dist
-    seed = args.seed
+def _kind_spec(args, l: int) -> matrices.BlockStructureSpec:
+    """Spec of the --kind grid with ``l`` block rows, from its flags."""
+    kind, dist, seed = args.kind, args.dist, args.seed
     if kind == "iid":
-        return matrices.iid_spec(args.d * args.l, args.k * args.e, dist, seed)
+        return matrices.iid_spec(args.d * l, args.k * args.e, dist, seed)
     if kind == "toeplitz-block":
-        return matrices.toeplitz_block_spec(args.k, args.l, args.d, args.e, dist, seed)
+        return matrices.toeplitz_block_spec(args.k, l, args.d, args.e, dist, seed)
     if kind == "circulant-block":
-        return matrices.circulant_block_spec(args.k, args.l, args.d, args.e, dist, seed)
+        return matrices.circulant_block_spec(args.k, l, args.d, args.e, dist, seed)
     if kind == "circulant-circulant":
         if args.p is None or args.q is None:
             raise UsageError("circulant-circulant needs --p and --q")
-        return matrices.circulant_circulant_spec(args.k, args.l, args.p, args.q, dist, seed)
+        return matrices.circulant_circulant_spec(args.k, l, args.p, args.q, dist, seed)
     if kind == "circulant-circulant-block":
         for flag in ("k2", "l2", "d2", "e2"):
             if getattr(args, flag) is None:
                 raise UsageError(f"circulant-circulant-block needs --{flag}")
         return matrices.circulant_circulant_block_spec(
-            args.k, args.l, args.k2, args.l2, args.d2, args.e2, dist, seed
+            args.k, l, args.k2, args.l2, args.d2, args.e2, dist, seed
         )
     raise UsageError(f"unknown kind {kind!r}")
 
 
-def _build_matrix_from_args(args):
-    """SensingMatrix from --spec/--kind flags; devore goes its own way."""
-    if args.kind == "devore":
+def _matrix_from_args(args, rows: int | None = None):
+    """The matrix that --spec, --kind and its flags, or the devore flags name,
+    and the dict its effective-config line logs.  A --kind grid short of
+    ``rows`` gets more block rows of its own height; the others never pad."""
+    if args.spec:
+        spec = spec_from_json(Path(args.spec).read_text())
+    elif args.kind == "devore":
         if args.p is None or args.r is None:
             raise UsageError("devore needs --p and --r")
-        l = args.l_cols if args.l_cols is not None else (args.l if args.l > 1 else None)
-        pspec = PolySpec(p=args.p, r=args.r, t=args.t, s=args.s, l=l)
+        pspec = PolySpec(p=args.p, r=args.r, t=args.t, s=args.s, l=args.l)
         return build_devore_block(pspec), {"devore": True, **pspec.__dict__}
-    spec = _spec_from_args(args)
+    else:
+        l = 1 if args.l is None else args.l
+        spec = _kind_spec(args, l)
+        if rows is not None and rows > spec.n:
+            spec = _kind_spec(args, -(-rows // (spec.n // l)))
     return build_structured(spec), spec_to_dict(spec)
 
 
@@ -115,12 +117,10 @@ def _build_matrix_from_args(args):
 
 
 def _cmd_build(args) -> int:
+    if args.save_spec and args.kind == "devore":
+        raise UsageError("--save-spec does not apply to devore: no spec file rebuilds it")
     rows = args.rows
-    if (rows is not None and args.kind not in (None, "devore") and not args.spec
-            and args.l * args.d < rows):
-        # pad: enough block rows to cover the request, then truncate
-        args.l = -(-rows // args.d)
-    matrix, meta = _build_matrix_from_args(args)
+    matrix, meta = _matrix_from_args(args, rows)
     if rows is not None:
         if rows > matrix.n:
             raise UsageError(f"--rows {rows} exceeds built row count {matrix.n}")
@@ -128,7 +128,7 @@ def _cmd_build(args) -> int:
     _log_effective("build", {"meta": meta, "rows": matrix.n, "cols": matrix.N,
                              "out": str(args.out)})
     write_matrix(args.out, matrix.entries)
-    if args.save_spec and not meta.get("devore"):
+    if args.save_spec:
         Path(args.save_spec).write_text(json.dumps(meta, indent=2, sort_keys=True))
     _emit(args, {"out": str(args.out), "rows": matrix.n, "cols": matrix.N,
                  "kind": matrix.spec.kind.value, "truncated": matrix.is_truncated})
@@ -140,7 +140,7 @@ def _cmd_rip(args) -> int:
         entries = read_matrix(args.matrix)
         source = {"matrix": str(args.matrix)}
     else:
-        matrix, meta = _build_matrix_from_args(args)
+        matrix, meta = _matrix_from_args(args)
         entries = matrix.entries
         source = {"built": meta}
     _log_effective("rip", {"order": args.order, "method": args.method,
@@ -160,12 +160,12 @@ def _cmd_rip(args) -> int:
 
 
 def _cmd_deps(args) -> int:
-    matrix, meta = _build_matrix_from_args(args)
+    matrix, meta = _matrix_from_args(args)
     if args.support:
         support = _parse_support(args.support)
     else:
         rng = np.random.default_rng([args.seed, 1])
-        size = args.t_size or 2
+        size = 2 if args.t_size is None else args.t_size
         support = SupportSet(tuple(sorted(
             rng.choice(matrix.N, size=size, replace=False).tolist())))
     _log_effective("deps", {"built": meta, "support": list(support.indices)})
@@ -183,21 +183,18 @@ def _cmd_deps(args) -> int:
 def _cmd_bounds(args) -> int:
     if (args.l1 is None) != (args.l2 is None):
         raise UsageError("--l1 and --l2 must be given together")
+    if args.l1 is not None and min(args.l1, args.l2) < 1:
+        raise UsageError("--l1 and --l2 must be >= 1")
     l = args.l if args.l1 is None else args.l1 * args.l2
 
-    def evaluate(n):
-        params = BoundParams(m=args.m, N=args.N, n=n, l=l,
-                             delta=args.delta, c0=args.c0, c2=args.c2)
-        if args.l1 is not None:
-            return params, nested_rip_success_bound(params, args.l1, args.l2)
-        return params, rip_success_bound(params)
+    def params_at(n):
+        return BoundParams(m=args.m, N=args.N, n=n, l=l,
+                           delta=args.delta, c0=args.c0, c2=args.c2)
 
-    n = args.n
-    if n is None:
-        # evaluate the bound at its own measurement requirement
-        _, probe = evaluate(1)
-        n = probe.n_required
-    params, result = evaluate(n)
+    # by default, evaluate the bound at its own measurement requirement
+    n = args.n if args.n is not None else rip_success_bound(params_at(1)).n_required
+    params = params_at(n)
+    result = rip_success_bound(params)
     _log_effective("bounds", {
         "m": params.m, "N": params.N, "n": params.n, "l": params.l,
         "delta": params.delta, "c0": params.c0, "c2": params.c2,
@@ -299,14 +296,17 @@ def _cmd_bench(args) -> int:
 
 
 def _add_structure_flags(sub, with_devore=False):
+    """Flags that name a matrix; returns the required group of its sources."""
     kinds = ["iid", "toeplitz-block", "circulant-block",
              "circulant-circulant", "circulant-circulant-block"]
     if with_devore:
         kinds.append("devore")
-    sub.add_argument("--spec", help="spec JSON file (alternative to --kind)")
-    sub.add_argument("--kind", choices=kinds)
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="spec JSON file")
+    source.add_argument("--kind", choices=kinds)
     sub.add_argument("--k", type=int, default=1)
-    sub.add_argument("--l", type=int, default=1)
+    sub.add_argument(*(("--l", "--l-cols") if with_devore else ("--l",)), type=int,
+                     help="block rows (default 1) / columns per block (devore: p^(r+1)/t)")
     sub.add_argument("--d", type=int, default=1)
     sub.add_argument("--e", type=int, default=1)
     sub.add_argument("--p", type=int, help="inner columns (nested) / field prime (devore)")
@@ -319,11 +319,10 @@ def _add_structure_flags(sub, with_devore=False):
         sub.add_argument("--r", type=int, help="polynomial degree bound (devore)")
         sub.add_argument("--t", type=int, default=1, help="block columns (devore)")
         sub.add_argument("--s", type=int, default=1, help="block rows (devore)")
-        sub.add_argument("--l-cols", type=int,
-                         help="columns per block (devore; --l works too)")
     sub.add_argument("--dist", choices=[k.value for k in matrices.DistributionKind],
                      default="gaussian")
     sub.add_argument("--seed", type=int, default=0)
+    return source
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = subs.add_parser("build", help="build a matrix and export it")
     _add_structure_flags(b, with_devore=True)
-    b.add_argument("--rows", type=int, help="truncate to this many rows after building")
+    b.add_argument("--rows", type=int, help="keep this many rows (pads a --kind grid)")
     b.add_argument("--out", required=True, help="output file (.csv or .bin)")
     b.add_argument("--save-spec", help="also write the spec JSON here")
     b.add_argument("--json", action="store_true")
 
     r = subs.add_parser("rip", help="estimate the restricted-isometry constant")
-    _add_structure_flags(r, with_devore=True)
-    r.add_argument("--matrix", help="matrix file instead of building from flags")
+    _add_structure_flags(r, with_devore=True).add_argument(
+        "--matrix", help="matrix file instead of building from flags")
     r.add_argument("--order", type=int, required=True)
     r.add_argument("--method", choices=["exhaustive", "mc"], default="exhaustive")
     r.add_argument("--samples", type=int, default=1000)

@@ -32,7 +32,7 @@ def write_matrix_csv(path, array) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 
 
 def write_matrix_binary(path, array) -> None:

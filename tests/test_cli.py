@@ -43,6 +43,12 @@ class TestBounds:
         assert main(["bounds", "--m", "2", "--N", "512", "--n", "10",
                      "--l1", "2", "--delta", "0.5"]) == 2
 
+    def test_negative_nested_factors_are_usage_error(self, capsys):
+        # their product, 1, is a valid l on its own
+        assert main(["bounds", "--m", "2", "--N", "512", "--n", "10",
+                     "--l1", "-1", "--l2", "-1", "--delta", "0.5"]) == 2
+        assert "--l1 and --l2 must be >= 1" in capsys.readouterr().err
+
     def test_n_defaults_to_requirement(self, capsys):
         code, payload = run_json(
             capsys, ["bounds", "--m", "3", "--N", "1024", "--l", "4",
@@ -73,6 +79,11 @@ class TestDeps:
     def test_bad_support_is_usage_error(self):
         assert main(["deps", "--kind", "iid", "--d", "2", "--e", "2",
                      "--support", "0,9"]) == 2
+
+    def test_empty_random_support_is_usage_error(self, capsys):
+        assert main(["deps", "--kind", "iid", "--d", "6", "--e", "8",
+                     "--t-size", "0"]) == 2
+        assert "support must be nonempty" in capsys.readouterr().err
 
 
 class TestRip:
@@ -152,6 +163,37 @@ class TestBuildAndRecover:
         assert code == 0
         assert read_matrix(out).shape == (18, 9)
 
+    def test_build_devore_l_one_is_one_column(self, tmp_path, capsys):
+        out = tmp_path / "d1.csv"
+        code, payload = run_json(
+            capsys, ["build", "--kind", "devore", "--p", "3", "--r", "1",
+                     "--l", "1", "--out", str(out)])
+        assert code == 0
+        assert (payload["rows"], payload["cols"]) == (9, 1)
+        assert read_matrix(out).shape == (9, 1)
+
+    def test_build_devore_refuses_save_spec(self, tmp_path, capsys):
+        out, spec = tmp_path / "d.csv", tmp_path / "d.json"
+        assert main(["build", "--kind", "devore", "--p", "3", "--r", "1",
+                     "--out", str(out), "--save-spec", str(spec)]) == 2
+        assert "--save-spec" in capsys.readouterr().err
+        assert not out.exists() and not spec.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "circulant-circulant", "--k", "4", "--l", "2", "--p", "3", "--q", "3"],
+        ["--kind", "circulant-circulant-block", "--k", "3", "--l", "2",
+         "--k2", "2", "--l2", "2", "--d2", "2", "--e2", "1"],
+    ], ids=["circulant-circulant", "circulant-circulant-block"])
+    def test_build_rows_equal_to_nested_grid_is_plain_build(self, tmp_path, capsys, flags):
+        plain, cut = tmp_path / "plain.csv", tmp_path / "cut.csv"
+        code, payload = run_json(capsys, ["build", *flags, "--out", str(plain)])
+        assert code == 0
+        rows = str(payload["rows"])
+        code, payload = run_json(capsys, ["build", *flags, "--rows", rows, "--out", str(cut)])
+        assert code == 0
+        assert payload["truncated"] is False
+        assert cut.read_bytes() == plain.read_bytes()
+
     def test_build_truncation_pads_then_cuts(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code, payload = run_json(
@@ -189,6 +231,22 @@ class TestBuildAndRecover:
             capsys, ["rip", "--matrix", str(mat), "--order", "2"])
         assert code == 0
         jsonschema.validate(payload, load_schema("rip"))
+
+
+class TestMatrixSource:
+    @pytest.mark.parametrize("argv", [
+        ["build", "--spec", "s.json", "--kind", "iid", "--out", "m.csv"],
+        ["rip", "--matrix", "m.csv", "--kind", "iid", "--order", "2"],
+        ["rip", "--spec", "s.json", "--matrix", "m.csv", "--order", "2"],
+        ["deps", "--d", "2"],
+    ], ids=["spec-and-kind", "matrix-and-kind", "spec-and-matrix", "no-source"])
+    def test_one_source_or_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestBench:

@@ -288,6 +288,13 @@ class TestSerialization:
         write_matrix_csv(path, M.entries)
         np.testing.assert_array_equal(read_matrix_csv(path), M.entries)
 
+    @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (1, 1)])
+    def test_matrix_csv_keeps_a_single_row_or_column(self, tmp_path, shape):
+        A = np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, A)
+        np.testing.assert_array_equal(read_matrix_csv(path), A)
+
     def test_matrix_binary_round_trip(self, tmp_path):
         M = build_structured(circulant_block_spec(3, 2, 2, 2, seed=3))
         path = tmp_path / "m.bin"
