@@ -306,7 +306,7 @@ def _add_structure_flags(sub, with_devore=False):
     source.add_argument("--kind", choices=kinds)
     sub.add_argument("--k", type=int, default=1)
     sub.add_argument(*(("--l", "--l-cols") if with_devore else ("--l",)), type=int,
-                     help="block rows (default 1) / columns per block (devore: p^(r+1)/t)")
+                     help="block rows, default 1; devore: columns per block, default p^(r+1)/t")
     sub.add_argument("--d", type=int, default=1)
     sub.add_argument("--e", type=int, default=1)
     sub.add_argument("--p", type=int, help="inner columns (nested) / field prime (devore)")

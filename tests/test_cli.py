@@ -235,18 +235,22 @@ class TestBuildAndRecover:
 
 class TestMatrixSource:
     @pytest.mark.parametrize("argv", [
-        ["build", "--spec", "s.json", "--kind", "iid", "--out", "m.csv"],
+        ["build", "--spec", "s.json", "--kind", "iid", "--out", "out.csv"],
         ["rip", "--matrix", "m.csv", "--kind", "iid", "--order", "2"],
         ["rip", "--spec", "s.json", "--matrix", "m.csv", "--order", "2"],
         ["deps", "--d", "2"],
     ], ids=["spec-and-kind", "matrix-and-kind", "spec-and-matrix", "no-source"])
     def test_one_source_or_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        # both files are valid sources, so only naming two, or none, fails
         monkeypatch.chdir(tmp_path)
+        assert main(["build", "--kind", "iid", "--d", "4", "--e", "4",
+                     "--out", "m.csv", "--save-spec", "s.json"]) == 0
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "m.csv").exists()
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestBench:
