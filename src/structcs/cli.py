@@ -73,12 +73,9 @@ def _parse_support(text: str) -> SupportSet:
 def _kind_spec(args, l: int) -> matrices.BlockStructureSpec:
     """Spec of the --kind grid with ``l`` block rows, from its flags."""
     kind, dist, seed = args.kind, args.dist, args.seed
-    if kind == "iid":
-        return matrices.iid_spec(args.d * l, args.k * args.e, dist, seed)
-    if kind == "toeplitz-block":
-        return matrices.toeplitz_block_spec(args.k, l, args.d, args.e, dist, seed)
-    if kind == "circulant-block":
-        return matrices.circulant_block_spec(args.k, l, args.d, args.e, dist, seed)
+    if kind in ("iid", "toeplitz-block", "circulant-block"):
+        return matrices.BlockStructureSpec(kind, args.k, l, args.d, args.e,
+                                           matrices.EntryDistribution(dist, l * args.d), seed)
     if kind == "circulant-circulant":
         if args.p is None or args.q is None:
             raise UsageError("circulant-circulant needs --p and --q")

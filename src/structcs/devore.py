@@ -181,8 +181,7 @@ def build_devore_block(spec: PolySpec) -> SensingMatrix:
     pool = raw.reshape(d, t, l).transpose(1, 0, 2).ravel() / math.sqrt(s * p)
     dist = EntryDistribution(DistributionKind.BERNOULLI, s * d)
     mspec = BlockStructureSpec(MatrixKind.DETERMINISTIC, t, s, d, l, dist, seed=0)
-    var_id = label_grid(mspec)
-    return SensingMatrix(entries=pool[var_id], spec=mspec, var_id=var_id)
+    return SensingMatrix(entries=pool[label_grid(mspec)], spec=mspec)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Construction of IID and block-structured sensing matrices.
 
 A matrix is described by a declarative :class:`BlockStructureSpec` and
-materialized as a :class:`SensingMatrix`: the dense entries plus a
-``var_id`` array recording which underlying scalar random variable each
-entry is a copy of.  Structural entry sharing (Toeplitz / circulant
-block repetition) is therefore exact and queryable downstream, immune
-to floating-point coincidences.
+materialized as a :class:`SensingMatrix`: the dense entries plus their
+spec.  Its ``var_id`` array, derived from the spec on first use, records
+which underlying scalar random variable each entry is a copy of.
+Structural entry sharing (Toeplitz / circulant block repetition) is
+therefore exact and queryable downstream, immune to floating-point
+coincidences.
 
 Layout conventions, 0-indexed.  With ``k`` block columns, ``l`` block
 rows and blocks of shape ``d x e``:
@@ -18,8 +19,9 @@ rows and blocks of shape ``d x e``:
   only needs ``l <= k + 1``; larger ``l`` repeats block rows, which we
   allow and flag as an extension).  The deterministic kind built by
   :mod:`structcs.devore` uses the same circulant numbering.
-* IID is the ``1 x 1`` grid: one block covering the whole matrix,
-  whatever the spec's ``k`` and ``l``.
+* IID is the ``1 x 1`` grid: one block covering the whole matrix.  An
+  IID spec is stored in that form (``k = l = 1``, ``d = n``, ``e = N``)
+  whatever ``k``, ``l``, ``d`` and ``e`` it was written with.
 * Nested kinds place a circulant grid of scalar entries (or of IID
   sub-blocks) inside each outer block; distinct outer blocks are fresh
   samples of the inner structure.
@@ -33,6 +35,7 @@ of values through it.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -148,7 +151,8 @@ class BlockStructureSpec:
     """Declarative description of a structured sensing matrix.
 
     ``k``: block columns, ``l``: block rows, ``d x e``: block shape, so
-    the matrix is ``n x N`` with ``n = l*d`` and ``N = k*e``.  ``nested``
+    the matrix is ``n x N`` with ``n = l*d`` and ``N = k*e``.  An IID
+    spec is stored as its one ``n x N`` block (``k = l = 1``).  ``nested``
     is required for the two doubly-circulant kinds and must tile the
     outer block exactly.
     """
@@ -169,6 +173,9 @@ class BlockStructureSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.kind is MatrixKind.IID:
+            for name, value in dict(k=1, l=1, d=self.n, e=self.N).items():
+                object.__setattr__(self, name, value)
         needs_nested = self.kind in (
             MatrixKind.CIRCULANT_CIRCULANT,
             MatrixKind.CIRCULANT_CIRCULANT_BLOCK,
@@ -203,22 +210,32 @@ class BlockStructureSpec:
 
 @dataclass(frozen=True)
 class SensingMatrix:
-    """Materialized sensing matrix with entry-level provenance.
+    """Materialized sensing matrix: its entries and the spec they follow.
 
-    ``var_id[i, j]`` labels the scalar random variable copied into entry
-    ``(i, j)``; equal labels imply bit-identical entries.  Arrays are
-    frozen after construction and safe to share across threads.
+    The entries hold the spec's first ``n`` rows, ``1 <= n <= spec.n``
+    (fewer than ``spec.n`` for a truncated matrix), and all of its
+    ``N`` columns.  Arrays are read-only and safe to share across
+    threads.
     """
 
     entries: np.ndarray
     spec: BlockStructureSpec
-    var_id: np.ndarray
 
     def __post_init__(self):
-        if self.entries.shape != self.var_id.shape:
-            raise ValueError("entries and var_id shapes differ")
+        rows, cols = self.spec.shape
+        if self.entries.ndim != 2 or not (1 <= self.n <= rows and self.N == cols):
+            raise ValueError(f"entries of shape {self.entries.shape} do not fit "
+                             f"a {rows}x{cols} spec")
         self.entries.setflags(write=False)
-        self.var_id.setflags(write=False)
+
+    @functools.cached_property
+    def var_id(self) -> np.ndarray:
+        """``var_id[i, j]`` labels the scalar random variable copied into
+        entry ``(i, j)``; equal labels imply bit-identical entries.  The
+        spec's label grid cut to ``n`` rows, made on first use; read-only."""
+        var_id = label_grid(self.spec)[: self.n]
+        var_id.setflags(write=False)
+        return var_id
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -311,19 +328,10 @@ def _tile_labels(bid: np.ndarray, inner: np.ndarray, inner_count: int) -> np.nda
     return full.reshape(l * d, k * e)
 
 
-def _grid_dims(spec: BlockStructureSpec) -> tuple[int, int, int, int]:
-    """``(k, l, d, e)`` of the block grid; IID is one ``n x N`` block
-    whatever its spec's ``k`` and ``l``."""
-    if spec.kind is MatrixKind.IID:
-        return 1, 1, spec.n, spec.N
-    return spec.k, spec.l, spec.d, spec.e
-
-
 def _inner_labels(spec: BlockStructureSpec) -> tuple[np.ndarray, int]:
     """Label grid of one block and the count of distinct labels in it."""
     if spec.nested is None:
-        _, _, d, e = _grid_dims(spec)
-        return np.arange(d * e).reshape(d, e), d * e
+        return np.arange(spec.d * spec.e).reshape(spec.d, spec.e), spec.d * spec.e
     inner = spec.nested
     leaf = np.arange(inner.d * inner.e).reshape(inner.d, inner.e)
     bid = _block_id_grid(inner.kind, inner.k, inner.l)
@@ -334,16 +342,14 @@ def _inner_labels(spec: BlockStructureSpec) -> tuple[np.ndarray, int]:
 def label_grid(spec: BlockStructureSpec) -> np.ndarray:
     """The n x N label grid: entry (i, j) copies pool value ``grid[i, j]``."""
     inner, per_block = _inner_labels(spec)
-    k, l, _, _ = _grid_dims(spec)
-    bid = _block_id_grid(spec.kind, k, l)
+    bid = _block_id_grid(spec.kind, spec.k, spec.l)
     return _tile_labels(bid, inner, per_block).astype(np.int64, copy=False)
 
 
 def distinct_label_count(spec: BlockStructureSpec) -> int:
     """Number of independent scalar random variables behind the matrix."""
     _, per_block = _inner_labels(spec)
-    k, l, _, _ = _grid_dims(spec)
-    return _num_blocks(spec.kind, k, l) * per_block
+    return _num_blocks(spec.kind, spec.k, spec.l) * per_block
 
 
 def _sample_pool(spec: BlockStructureSpec) -> np.ndarray:
@@ -371,7 +377,7 @@ def _sample_pool(spec: BlockStructureSpec) -> np.ndarray:
 
 
 def build_structured(spec: BlockStructureSpec) -> SensingMatrix:
-    """Materialize a spec into entries plus provenance labels.
+    """Materialize a spec into its entries.
 
     The block layout follows the module-level conventions; blocks are
     fresh IID samples that share entries only through structural
@@ -379,9 +385,7 @@ def build_structured(spec: BlockStructureSpec) -> SensingMatrix:
     """
     if spec.kind is MatrixKind.DETERMINISTIC:
         raise ValueError("deterministic matrices are built by structcs.devore")
-    pool = _sample_pool(spec)
-    var_id = label_grid(spec)
-    return SensingMatrix(entries=pool[var_id], spec=spec, var_id=var_id)
+    return SensingMatrix(entries=_sample_pool(spec)[label_grid(spec)], spec=spec)
 
 
 def sample_iid(rows: int, cols: int, dist: EntryDistribution, seed: int) -> SensingMatrix:
@@ -429,11 +433,7 @@ def truncate_rows(matrix: SensingMatrix, rows: int) -> SensingMatrix:
         raise ValueError(f"rows must be in 1..{matrix.n}, got {rows}")
     if rows == matrix.n:
         return matrix
-    return SensingMatrix(
-        entries=matrix.entries[:rows].copy(),
-        spec=matrix.spec,
-        var_id=matrix.var_id[:rows].copy(),
-    )
+    return SensingMatrix(entries=matrix.entries[:rows].copy(), spec=matrix.spec)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,8 @@ def basis_pursuit(
     iteration is positively homogeneous in y, so scaling y scales the
     solution.  Raises ValueError when an iterate turns non-finite.
     """
+    if max_iter < 1 or tol < 0:
+        raise ValueError(f"need max_iter >= 1 and tol >= 0, got {max_iter} and {tol}")
     op = _as_operator(op)
     n, N = op.shape
     y = np.asarray(y, dtype=float)
@@ -259,6 +261,8 @@ def omp(op, y, sparsity: int, tol: float = 1e-10) -> RecoveryResult:
     Stops after ``sparsity`` picks or when the residual drops below
     tol*max(||y||, 1).  A rank-deficient refit yields INFEASIBLE.
     """
+    if sparsity < 0 or tol < 0:
+        raise ValueError(f"need sparsity >= 0 and tol >= 0, got {sparsity} and {tol}")
     op = _as_operator(op)
     n, N = op.shape
     y = np.asarray(y, dtype=float)

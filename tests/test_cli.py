@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -222,6 +223,29 @@ class TestBuildAndRecover:
         assert main(["recover", "--matrix", str(mat), "--y", str(yfile),
                      "--solver", "omp", "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--max-iter", "0"],
+        ["--max-iter", "-5"],
+        ["--tol", "-1"],
+        ["--solver", "omp", "--sparsity", "-1"],
+    ], ids=["max-iter-0", "max-iter-negative", "tol-negative", "omp-sparsity-negative"])
+    def test_bad_decoder_arguments_exit_2(self, tmp_path, capsys, flags):
+        mat, yfile, out = tmp_path / "m.csv", tmp_path / "y.csv", tmp_path / "o.csv"
+        write_matrix_csv(mat, np.eye(4))
+        write_vector_csv(yfile, np.ones(4))
+        assert main(["recover", "--matrix", str(mat), "--y", str(yfile), *flags,
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_build_negative_iid_flags_exit_2(self, tmp_path, capsys):
+        # the products l*d = 6 and k*e = 2 are a valid size; the flags are not
+        out = tmp_path / "x.csv"
+        assert main(["build", "--kind", "iid", "--d", "-2", "--l", "-3", "--e", "2",
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rip_reads_exported_matrix(self, tmp_path, capsys):
         mat = tmp_path / "m.csv"
         main(["build", "--kind", "iid", "--d", "10", "--e", "6", "--seed", "2",
@@ -254,6 +278,19 @@ class TestMatrixSource:
 
 
 class TestBench:
+    def test_desk_run_directory_is_pinned(self, tmp_path):
+        # the run directory of a 12-trial desk sweep at master seed 2, byte for byte
+        assert main(["bench", "--preset", "desk", "--master-seed", "2", "--trials", "12",
+                     "--threads", "2", "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("curve.csv", "config-echo.json", "plot.gp")}
+        assert digests == {
+            "curve.csv": "ef03b6bbbf4ba46d952d5f5488f6056b1626c27fb2230fb2839a1e09a1132953",
+            "config-echo.json":
+                "6bdbdf617fcf6a7ab084c5b8fb838415cd92f1ac83b58fe6a7e5f8646ad497e9",
+            "plot.gp": "7ea365120a27d1a8f21ee08c0896bb7290156f0b6312aff7b132113deb068c18",
+        }
+
     def test_bench_from_config_file(self, tmp_path, capsys):
         cfg = {
             "N": 32, "m": 2, "kinds": ["iid", "toeplitz"], "n_grid": [8, 32],

@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from structcs.matrices import (
     EntryDistribution,
     InnerSpec,
     MatrixKind,
+    SensingMatrix,
     build_structured,
     circulant_block_spec,
     circulant_circulant_block_spec,
@@ -117,6 +119,9 @@ class TestBlockLayouts:
         assert np.array_equal(M.var_id, np.arange(32).reshape(4, 8))
         assert distinct_label_count(spec) == 32
         assert np.array_equal(M.entries, sample_iid(4, 8, bernoulli(4), seed=3).entries)
+        # stored as its one 4x8 block, and read back in that form
+        assert (spec.k, spec.l, spec.d, spec.e) == (1, 1, 4, 8)
+        assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_circulant_3x3_scalar_layout(self):
         M = build_structured(circulant_block_spec(3, 3, 1, 1, "bernoulli", seed=2))
@@ -259,8 +264,20 @@ class TestDistinctBlocksAndTruncation:
         assert T.shape == (5, 6)
         assert T.is_truncated
         np.testing.assert_array_equal(T.entries, M.entries[:5])
+        np.testing.assert_array_equal(T.var_id, M.var_id[:5])
+        assert not T.var_id.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            T.var_id = M.var_id
         with pytest.raises(ValueError):
             distinct_blocks(T)
+
+    @pytest.mark.parametrize("shape", [(7, 6), (0, 6), (5, 5), (6,)],
+                             ids=["too-many-rows", "no-rows", "wrong-cols", "one-axis"])
+    def test_entries_must_fit_the_spec(self, shape):
+        # a 6x6 spec takes 1..6 rows of 6 columns
+        spec = toeplitz_block_spec(3, 3, 2, 2, seed=12)
+        with pytest.raises(ValueError):
+            SensingMatrix(entries=np.zeros(shape), spec=spec)
 
     def test_truncation_bounds(self):
         M = build_structured(toeplitz_block_spec(2, 2, 2, 2, seed=1))

@@ -115,6 +115,9 @@ class TestBasisPursuit:
             basis_pursuit(np.eye(3), np.ones(4))
         with pytest.raises(ValueError):
             basis_pursuit(np.eye(3), np.array([1.0, np.nan, 0.0]))
+        for kwargs in ({"max_iter": 0}, {"max_iter": -5}, {"tol": -1.0}):
+            with pytest.raises(ValueError):
+                basis_pursuit(np.eye(3), np.ones(3), **kwargs)
 
     def test_unreachable_rhs_is_infeasible(self):
         # rank-1 rows cannot produce y outside their span
@@ -161,6 +164,10 @@ class TestOmp:
     def test_sparsity_bounded_by_rows(self):
         with pytest.raises(ValueError):
             omp(np.eye(3), np.ones(3), sparsity=4)
+        with pytest.raises(ValueError):
+            omp(np.eye(3), np.ones(3), sparsity=-1)
+        with pytest.raises(ValueError):
+            omp(np.eye(3), np.ones(3), sparsity=2, tol=-1.0)
 
 
 @pytest.mark.parametrize("decode", [
