@@ -68,7 +68,6 @@ from .bounds import (
     concentration_exponent,
     default_c0,
     default_c2,
-    nested_rip_success_bound,
     prob_rip_fixed_support,
     prob_rip_fixed_support_balanced,
     rip_success_bound,

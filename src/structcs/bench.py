@@ -357,8 +357,13 @@ class SuccessCurve:
         Path(path).write_text(self.to_csv_text())
 
 
+# names the decoder behind a cached cell; a change to what the decoders
+# return must change it, so that a cache of the old results is not read
+DECODER_VERSION = "lasso-homotopy-1"
+
+
 def _cell_key(config: ExperimentConfig, kind: str, n: int) -> str:
-    return f"{config.digest()}:{kind}:{n}"
+    return f"{config.digest()}:{DECODER_VERSION}:{kind}:{n}"
 
 
 def _run_cell(config: ExperimentConfig, kind: str, n: int) -> int:

@@ -21,7 +21,7 @@ flagged vacuous rather than raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "BoundParams",
@@ -32,7 +32,6 @@ __all__ = [
     "prob_rip_fixed_support",
     "prob_rip_fixed_support_balanced",
     "rip_success_bound",
-    "nested_rip_success_bound",
 ]
 
 REGIME_SMALL_L = "small-l"
@@ -51,8 +50,8 @@ def default_c2(c0: float) -> float:
 class BoundParams:
     """Inputs to the success bounds.
 
-    ``l`` counts block rows (use ``l1*l2`` via
-    :func:`nested_rip_success_bound` for doubly-circulant grids);
+    ``l`` counts block rows (the product ``l1*l2`` for doubly-circulant
+    grids);
     ``delta`` is the target isometry constant at order 3m.  ``c0`` and
     ``c2`` default as described in the module docstring and must
     satisfy 0 < c2 < c0.
@@ -171,10 +170,3 @@ def rip_success_bound(params: BoundParams) -> BoundResult:
         regime=regime, prob_lower=prob, n_required=n_required,
         vacuous=vacuous, c1=c1,
     )
-
-
-def nested_rip_success_bound(params: BoundParams, l1: int, l2: int) -> BoundResult:
-    """Same bound for a doubly-circulant grid: l is the product l1*l2."""
-    if l1 < 1 or l2 < 1:
-        raise ValueError("l1 and l2 must be >= 1")
-    return rip_success_bound(replace(params, l=l1 * l2))

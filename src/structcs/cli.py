@@ -74,6 +74,10 @@ def _kind_spec(args, l: int) -> matrices.BlockStructureSpec:
     """Spec of the --kind grid with ``l`` block rows, from its flags."""
     kind, dist, seed = args.kind, args.dist, args.seed
     if kind in ("iid", "toeplitz-block", "circulant-block"):
+        # checked here: the entry scale l*d would otherwise fail first
+        for flag, value in (("k", args.k), ("l", l), ("d", args.d), ("e", args.e)):
+            if value < 1:
+                raise UsageError(f"--{flag} must be >= 1, got {value}")
         return matrices.BlockStructureSpec(kind, args.k, l, args.d, args.e,
                                            matrices.EntryDistribution(dist, l * args.d), seed)
     if kind == "circulant-circulant":
@@ -211,7 +215,8 @@ def _cmd_recover(args) -> int:
     y = read_vector_csv(args.y)
     _log_effective("recover", {"matrix": str(args.matrix), "y": str(args.y),
                                "solver": args.solver, "tol": args.tol,
-                               "sparsity": args.sparsity, "out": str(args.out)})
+                               "max_iter": args.max_iter, "sparsity": args.sparsity,
+                               "out": str(args.out)})
     op = dense_operator(entries)
     if args.solver == "bp":
         result = basis_pursuit(op, y, tol=args.tol, max_iter=args.max_iter)

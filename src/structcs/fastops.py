@@ -46,8 +46,9 @@ class LinearOperator:
     "dense"); a structured operator falls back to "dense" when the spec
     kind has no fast path.  Maps accept 1-D vectors or 2-D (dim, batch)
     arrays and are pure, so one operator can be shared across threads.
-    ``gram`` and ``columns`` are derived from the maps; the dense operator
-    reads them off its array instead.
+    ``columns`` is derived from the forward map; the dense operator reads
+    it off its array instead.  The homotopy in ``basis_pursuit`` forms the
+    Gram matrix of the active columns only, so no operator forms A A^T.
     """
 
     def __init__(self, shape, forward, adjoint, backend="dense"):
@@ -68,10 +69,6 @@ class LinearOperator:
             raise ValueError(f"adjoint expects length {self.shape[0]}, got {y.shape[0]}")
         return self._adjoint(y)
 
-    def gram(self) -> np.ndarray:
-        """A A^T, as the forward of the adjoint of the n x n identity."""
-        return self.forward(self.adjoint(np.eye(self.shape[0])))
-
     def columns(self, idx) -> np.ndarray:
         """The columns A[:, idx] as an (n, len(idx)) array, one unit-vector
         forward each."""
@@ -85,17 +82,13 @@ class LinearOperator:
 
 
 class _DenseOperator(LinearOperator):
-    """A held array: the Gram and the columns come from it directly, with
-    the same bits as the generic unit-vector products."""
+    """A held array: the columns come from it directly, with the same bits
+    as the generic unit-vector products."""
 
     def __init__(self, entries: np.ndarray):
         super().__init__(entries.shape, forward=lambda x: entries @ x,
                          adjoint=lambda y: entries.T @ y, backend="dense")
         self.entries = entries
-
-    def gram(self) -> np.ndarray:
-        # the same GEMM as A (A^T I); SYRK's A @ A.T can differ in the last bit
-        return self.entries @ np.ascontiguousarray(self.entries.T)
 
     def columns(self, idx) -> np.ndarray:
         # take, not entries[:, idx]: the slice is Fortran-ordered, and BLAS

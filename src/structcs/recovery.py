@@ -1,16 +1,16 @@
 """Sparse recovery: l1 minimization and orthogonal matching pursuit.
 
-``basis_pursuit`` solves min ||x||_1 subject to Ax = y (the equality
-relaxed to ||Ax - y|| <= tol*||y||) with a Douglas-Rachford splitting:
-alternate soft-thresholding with exact projection onto the affine
-constraint, using only forward/adjoint applications plus one cached
-Cholesky factor of A A^T.  The operator forms the Gram matrix and the
-column slices (the dense operator straight from its array), and each
-iteration solves with one LAPACK ``potrs`` on the cached factor.  A
-periodic support-polish step solves the least-squares system on the
-current support and accepts the result early only when a dual
-certificate confirms optimality, which both speeds up easy instances
-and pins the objective to the exact optimum.
+``basis_pursuit`` solves min ||x||_1 subject to Ax = y exactly with the
+lasso homotopy (Osborne, Presnell and Turlach 2000; Donoho and Tsaig
+2008): it follows the minimizer of 1/2 ||Ax - y||^2 + lambda ||x||_1
+from lambda = ||A^T y||_inf, where it is 0, down to lambda = 0.  The
+path is piecewise linear in lambda and changes its active set I at one
+index per step.  Each step takes the active columns from
+``LinearOperator.columns``, factors their Gram matrix A_I^T A_I afresh
+with ``scipy.linalg.cho_factor``, solves for the point and the direction
+with ``cho_solve``, and makes one adjoint apply for the correlations.
+The end of the path is checked with a dual certificate on the final
+active set, so CONVERGED means a certified minimum-l1 solution.
 
 ``omp`` is the greedy cross-check decoder: pick the column most
 correlated with the residual, refit by least squares, repeat.
@@ -19,7 +19,6 @@ correlated with the residual, refit by least squares, repeat.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,92 +84,21 @@ class RecoveryResult:
         self.estimate.setflags(write=False)
 
 
-# DR iterations between support-polish attempts
-POLISH_EVERY = 25
+# relative size below which a homotopy quantity is rounding: a gap that
+# closes at a rate below it never closes (a duplicate column's does not),
+# and an event this close to the end of the path, as a fraction of the
+# starting lambda, ties with the end (once y is in the span of A_I, every
+# add lands on lambda = 0)
+ROUNDING = 1e-9
 
 
 def _as_operator(op) -> LinearOperator:
     return op if isinstance(op, LinearOperator) else dense_operator(op)
 
 
-class _AffineProjector:
-    """Projection onto {x : Ax = y} through a cached A A^T factorization.
-
-    Solves call LAPACK ``potrs`` on the factor directly: the same bits as
-    ``scipy.linalg.cho_solve`` without its per-call finiteness check and
-    lookup, which cost several times the solve at desk sizes.  The caller
-    checks finiteness once per iteration instead.
-    """
-
-    def __init__(self, op: LinearOperator):
-        gram = op.gram()
-        gram = 0.5 * (gram + gram.T)
-        self.op = op
-        try:
-            self._factor, self._lower = scipy.linalg.cho_factor(gram)
-            self._potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (self._factor,))
-            self._pinv = None
-        except scipy.linalg.LinAlgError:
-            self._potrs = None
-            self._pinv = np.linalg.pinv(gram)
-
-    def solve_normal(self, rhs):
-        if self._potrs is None:
-            return self._pinv @ rhs
-        x, info = self._potrs(self._factor, rhs, lower=self._lower)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        return x
-
-    def project(self, v, y):
-        resid = self.op.forward(v) - y
-        return v - self.op.adjoint(self.solve_normal(resid))
-
-    def least_norm(self, y):
-        return self.op.adjoint(self.solve_normal(y))
-
-
-def _soft(v, thr):
-    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
-
-
-def _norm(v) -> float:
-    """||v||_2 of a 1-D array: the dot and root np.linalg.norm computes."""
-    return math.sqrt(v.dot(v))
-
-
-def _certified_polish(op, y, support, tol_feas, ynorm):
-    """Least-squares refit on a candidate support plus a dual certificate.
-
-    Returns the refit solution when it is feasible and certified
-    optimal for the l1 problem: with signs sigma on the support S, the
-    least-norm dual w solving A_S^T w = sigma must satisfy
-    |A_j^T w| <= 1 + eps off the support.  Returns None otherwise.
-    """
-    n, N = op.shape
-    s = len(support)
-    if s == 0 or s > n:
-        return None
-    cols = op.columns(support)
-    coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-    if rank < s:
-        return None
-    if np.linalg.norm(cols @ coef - y) > tol_feas * ynorm:
-        return None
-    sigma = np.sign(coef)
-    sigma[sigma == 0] = 1.0
-    try:
-        w = cols @ np.linalg.solve(cols.T @ cols, sigma)
-    except np.linalg.LinAlgError:
-        return None
-    corr = np.abs(op.adjoint(w))
-    off = np.ones(N, dtype=bool)
-    off[list(support)] = False
-    if corr[off].max(initial=0.0) > 1.0 + 1e-8:
-        return None
-    x = np.zeros(N)
-    x[list(support)] = coef
-    return x
+def _check_finite(values, step: int) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"homotopy step {step} is not finite")
 
 
 def basis_pursuit(
@@ -179,13 +107,17 @@ def basis_pursuit(
     tol: float = 1e-7,
     max_iter: int = 3000,
 ) -> RecoveryResult:
-    """Minimum-l1 solution of Ax = y via Douglas-Rachford splitting.
+    """Minimum-l1 solution of Ax = y by the lasso homotopy.
 
-    ``op`` may be a LinearOperator or a dense array.  The returned
-    estimate satisfies ||A x - y|| <= tol*||y|| when status is
-    CONVERGED; the residual is recomputed independently at return.  The
-    iteration is positively homogeneous in y, so scaling y scales the
-    solution.  Raises ValueError when an iterate turns non-finite.
+    ``op`` may be a LinearOperator or a dense array; ``max_iter`` caps the
+    homotopy steps, the last of which solves at lambda = 0.  CONVERGED
+    means the path ended with ||A x - y|| <= tol*||y|| and a dual
+    certificate of l1 optimality; INFEASIBLE means it ended with a larger
+    residual, so y is outside the range of A; MAX_ITER means the cap came
+    first or the end was not certified.  The residual is recomputed with
+    a forward apply at return.  The path is positively homogeneous in y,
+    so scaling y scales the solution.  Raises ValueError when a step turns
+    non-finite.
     """
     if max_iter < 1 or tol < 0:
         raise ValueError(f"need max_iter >= 1 and tol >= 0, got {max_iter} and {tol}")
@@ -200,59 +132,70 @@ def basis_pursuit(
     if ynorm == 0.0:
         return RecoveryResult(np.zeros(N), 0, 0.0, RecoveryStatus.CONVERGED)
 
-    proj = _AffineProjector(op)
-    x_ls = proj.least_norm(y)
-    feas0 = float(np.linalg.norm(op.forward(x_ls) - y))
-    if feas0 > 1e-6 * ynorm:
-        # y is (numerically) outside the range of A
+    corr = op.adjoint(y)
+    j = int(np.argmax(np.abs(corr)))
+    lam = float(abs(corr[j]))
+    if lam == 0.0:
+        # y is orthogonal to the range of A: the path stays at x = 0
         return RecoveryResult(np.zeros(N), 0, ynorm, RecoveryStatus.INFEASIBLE)
-    gamma = 0.1 * float(np.abs(x_ls).max())
-    if gamma == 0.0:
-        gamma = 1.0
-
-    w = x_ls.copy()
-    x = x_ls.copy()
-    v = x_ls.copy()
-    best = None
-    last_support = None
-    status = RecoveryStatus.MAX_ITER
-    it = 0
+    end_tie = ROUNDING * lam
+    active, signs = [j], [float(np.sign(corr[j]))]
     for it in range(1, max_iter + 1):
-        x = _soft(w, gamma)
-        v = proj.project(2.0 * x - w, y)
-        w += v - x
-        gap = _norm(x - v)
-        if not math.isfinite(gap):
-            raise ValueError(f"iterate is not finite at iteration {it}")
-        scale = max(_norm(v), ynorm)
-        if gap <= tol * scale:
-            status = RecoveryStatus.CONVERGED
+        # on the active set I with signs s, x_I solves
+        # A_I^T A_I x_I = A_I^T y - lambda s and moves along
+        # d_I = (A_I^T A_I)^-1 s as lambda falls
+        cols = op.columns(active)
+        gram = cols.T @ cols
+        _check_finite(gram, it)
+        s = np.array(signs)
+        factor = scipy.linalg.cho_factor(gram, check_finite=False)
+        x_a, d_a = scipy.linalg.cho_solve(
+            factor, np.column_stack([cols.T @ y - lam * s, s]), check_finite=False).T
+        ca = op.adjoint(np.column_stack([y - cols @ x_a, cols @ d_a]))
+        _check_finite(ca, it)
+        c, a = ca.T
+        x = np.zeros(N)
+        x[active] = x_a
+        if lam == 0.0:
+            # w = A_I (A_I^T A_I)^-1 s is dual feasible when ||A^T w||_inf
+            # <= 1, and y^T w = s^T x_I then closes the duality gap
+            certified = (np.abs(a).max() <= 1.0 + 1e-8
+                         and s @ x_a >= (1.0 - 1e-8) * np.abs(x_a).sum())
             break
-        if it % POLISH_EVERY == 0:
-            support = tuple(np.nonzero(x)[0].tolist())
-            if support and support != last_support:
-                last_support = support
-                z = _certified_polish(op, y, support, tol, ynorm)
-                if z is not None:
-                    best = z
-                    status = RecoveryStatus.CONVERGED
-                    break
+        # as lambda falls by gamma, c moves to c - gamma a and x_I to
+        # x_I + gamma d_I: an inactive c_j reaching +-(lambda - gamma) adds
+        # j, an active x_i reaching 0 drops i.  Only gaps that close count,
+        # so a just-dropped index is not re-added and one already at its
+        # bound is added at once
+        gap = np.concatenate([lam - c, lam + c, s * x_a])
+        rate = np.concatenate([1.0 - a, 1.0 + a, -s * d_a])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.where(rate > ROUNDING, np.maximum(gap, 0.0) / rate, np.inf)
+        adds = steps[:2 * N].reshape(2, N)
+        adds[:, active] = np.inf
+        if len(active) == n:
+            adds[:] = np.inf  # a full active set ties every add with the end
+        k = int(np.argmin(steps))
+        if steps[k] > lam - end_tie:
+            lam = 0.0
+            continue
+        lam -= steps[k]
+        if k < 2 * N:
+            active.append(k % N)
+            signs.append(1.0 if k < N else -1.0)
+        else:
+            del active[k - 2 * N], signs[k - 2 * N]
+    else:
+        certified = None  # the cap came first
 
-    if best is None:
-        # prefer the sparse iterate when it is already feasible
-        candidates = [v]
-        if float(np.linalg.norm(op.forward(x) - y)) <= tol * ynorm:
-            candidates.append(x)
-        support = tuple(np.nonzero(x)[0].tolist())
-        z = _certified_polish(op, y, support, tol, ynorm) if support else None
-        if z is not None:
-            candidates.append(z)
-        best = min(candidates, key=lambda c: float(np.abs(c).sum()))
-
-    residual = float(np.linalg.norm(op.forward(best) - y))
-    if status is RecoveryStatus.CONVERGED and residual > tol * ynorm:
+    residual = float(np.linalg.norm(op.forward(x) - y))
+    if certified is not None and residual > tol * ynorm:
+        status = RecoveryStatus.INFEASIBLE
+    elif certified:
+        status = RecoveryStatus.CONVERGED
+    else:
         status = RecoveryStatus.MAX_ITER
-    return RecoveryResult(best, it, residual, status)
+    return RecoveryResult(x, it, residual, status)
 
 
 def omp(op, y, sparsity: int, tol: float = 1e-10) -> RecoveryResult:

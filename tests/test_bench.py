@@ -41,7 +41,7 @@ iid,220,2,2,1.000000,0.342380,1.000000
 iid,240,2,2,1.000000,0.342380,1.000000
 iid,256,2,2,1.000000,0.342380,1.000000
 toeplitz,40,0,2,0.000000,0.000000,0.657620
-toeplitz,60,1,2,0.500000,0.094531,0.905469
+toeplitz,60,2,2,1.000000,0.342380,1.000000
 toeplitz,80,2,2,1.000000,0.342380,1.000000
 toeplitz,100,2,2,1.000000,0.342380,1.000000
 toeplitz,120,2,2,1.000000,0.342380,1.000000
@@ -262,6 +262,14 @@ class TestSuccessCurve:
         other = tiny_config(trials=3, master_seed=8)
         success_curve(other, cache_path=cache)
         assert len(json.loads(cache.read_text())) == 2 * len(stored)
+
+    def test_cache_of_another_decoder_is_not_read(self, tmp_path):
+        # a cell stored under the key format that named no decoder
+        cfg = tiny_config(trials=3, kinds=("iid",), n_grid=(48,))
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({f"{cfg.digest()}:iid:48": 0}))
+        assert success_curve(cfg, cache_path=cache).cell("iid", 48).successes == 3
+        assert json.loads(cache.read_text())[bench._cell_key(cfg, "iid", 48)] == 3
 
     def test_thread_count_does_not_change_results(self):
         cfg = tiny_config(trials=4, n_grid=(8, 48))

@@ -9,7 +9,6 @@ from structcs.bounds import (
     concentration_exponent,
     default_c0,
     default_c2,
-    nested_rip_success_bound,
     prob_rip_fixed_support,
     prob_rip_fixed_support_balanced,
     rip_success_bound,
@@ -152,26 +151,6 @@ class TestSuccessBound:
         cap = 3 * m * (3 * m - 1)
         for l in (1, max(1, cap // 2), cap):
             assert -c2 * n / l <= -c2 * n / (9 * m * m - 3 * m) + 1e-18
-
-    @settings(max_examples=40)
-    @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 40), deltas)
-    def test_nested_bound_is_product_substitution(self, m, l1, l2, delta):
-        params = BoundParams(m=m, N=10_000, n=500, l=7, delta=delta)
-        merged = BoundParams(m=m, N=10_000, n=500, l=l1 * l2, delta=delta)
-        assert nested_rip_success_bound(params, l1, l2) == rip_success_bound(merged)
-
-    def test_nested_trivial_factors_reduce_to_iid(self):
-        params = BoundParams(m=3, N=1024, n=10**6, l=99, delta=0.5, c0=0.05, c2=0.01)
-        via_nested = nested_rip_success_bound(params, 1, 1)
-        direct = rip_success_bound(
-            BoundParams(m=3, N=1024, n=10**6, l=1, delta=0.5, c0=0.05, c2=0.01)
-        )
-        assert via_nested == direct
-
-    def test_nested_small_regime_example(self):
-        # l1*l2 = 6 <= 3m(3m-1) = 30 at m = 2
-        params = BoundParams(m=2, N=512, n=10**6, l=1, delta=0.5, c0=0.05, c2=0.01)
-        assert nested_rip_success_bound(params, 2, 3).regime == "small-l"
 
     @settings(max_examples=60)
     @given(st.integers(1, 6), st.integers(1, 200), deltas)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 from importlib import resources
@@ -239,12 +240,30 @@ class TestBuildAndRecover:
         assert not out.exists()
 
     def test_build_negative_iid_flags_exit_2(self, tmp_path, capsys):
-        # the products l*d = 6 and k*e = 2 are a valid size; the flags are not
+        # iid: the products l*d = 6 and k*e = 2 are a valid size, the flags
+        # are not; toeplitz-block: l*d = -1 is the entry scale, checked first
+        # unless the flags are
         out = tmp_path / "x.csv"
-        assert main(["build", "--kind", "iid", "--d", "-2", "--l", "-3", "--e", "2",
-                     "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+        for flags in (["--kind", "iid", "--d", "-2", "--l", "-3", "--e", "2"],
+                      ["--kind", "toeplitz-block", "--k", "2", "--l", "-1", "--d", "1",
+                       "--e", "1"]):
+            assert main(["build", *flags, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "error: --l must be >= 1" in err and "scale_rows" not in err
+            assert not out.exists()
+
+    def test_recover_logs_its_iteration_cap(self, tmp_path, caplog, monkeypatch):
+        # main's logging.basicConfig(force=True) drops caplog's root handler,
+        # so the handler listens on the structcs logger itself
+        monkeypatch.setattr(logging.getLogger("structcs"), "handlers", [caplog.handler])
+        mat, yfile = tmp_path / "m.csv", tmp_path / "y.csv"
+        write_matrix_csv(mat, np.eye(4))
+        write_vector_csv(yfile, np.ones(4))
+        assert main(["recover", "--matrix", str(mat), "--y", str(yfile),
+                     "--max-iter", "7", "--out", str(tmp_path / "o.csv")]) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("effective config for recover")]
+        assert json.loads(line.split(": ", 1)[1])["max_iter"] == 7
 
     def test_rip_reads_exported_matrix(self, tmp_path, capsys):
         mat = tmp_path / "m.csv"
@@ -285,7 +304,7 @@ class TestBench:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("curve.csv", "config-echo.json", "plot.gp")}
         assert digests == {
-            "curve.csv": "ef03b6bbbf4ba46d952d5f5488f6056b1626c27fb2230fb2839a1e09a1132953",
+            "curve.csv": "1d966d50cc6d11217bc702b7020d6ed2de8af0db1420fac75b5186399be5985c",
             "config-echo.json":
                 "6bdbdf617fcf6a7ab084c5b8fb838415cd92f1ac83b58fe6a7e5f8646ad497e9",
             "plot.gp": "7ea365120a27d1a8f21ee08c0896bb7290156f0b6312aff7b132113deb068c18",

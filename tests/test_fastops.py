@@ -177,11 +177,6 @@ class TestOperators:
 
 
 class TestGramAndColumns:
-    @pytest.mark.parametrize("n,N", [(40, 512), (256, 512), (580, 2048)])
-    def test_dense_gram_is_the_adjoint_of_identity_product(self, n, N):
-        A = np.random.default_rng(n).standard_normal((n, N)) / np.sqrt(n)
-        np.testing.assert_array_equal(dense_operator(A).gram(), A @ (A.T @ np.eye(n)))
-
     def test_columns_are_slices_and_unit_forwards(self):
         A = np.random.default_rng(4).standard_normal((30, 90))
         S = (7, 0, 88, 41)
@@ -197,7 +192,6 @@ class TestGramAndColumns:
         A = np.random.default_rng(5).standard_normal((20, 60))
         plain = LinearOperator(A.shape, lambda x: A @ x, lambda y: A.T @ y)
         dense = dense_operator(A)
-        np.testing.assert_array_equal(plain.gram(), dense.gram())
         np.testing.assert_array_equal(plain.columns([3, 59, 3]), dense.columns([3, 59, 3]))
         assert plain.columns([]).shape == (20, 0)
 
@@ -207,7 +201,6 @@ class TestGramAndColumns:
         assert op.backend == "fft"
         np.testing.assert_allclose(op.columns([0, 5, 15]), M.entries[:, [0, 5, 15]],
                                    atol=1e-12)
-        np.testing.assert_allclose(op.gram(), M.entries @ M.entries.T, atol=1e-10)
 
 
 def test_speedup_reported_not_asserted(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from structcs import bench
+from structcs import bench, recovery
 from structcs.devore import build_devore
 from structcs.fastops import LinearOperator, dense_operator, structured_operator
 from structcs.matrices import build_structured, iid_spec, toeplitz_block_spec
@@ -17,13 +17,18 @@ from structcs.recovery import (
 )
 
 
-def lp_objective(A, y):
-    """Generic-simplex oracle: min 1'(u+v) s.t. A(u-v) = y, u, v >= 0."""
+def lp_minimizer(A, y):
+    """Generic-simplex oracle: min 1'(u+v) s.t. A(u-v) = y, u, v >= 0.
+    Returns the optimal objective and x = u - v."""
     N = A.shape[1]
     res = linprog(np.ones(2 * N), A_eq=np.hstack([A, -A]), b_eq=y,
                   bounds=[(0, None)] * (2 * N), method="highs")
     assert res.status == 0
-    return res.fun
+    return res.fun, res.x[:N] - res.x[N:]
+
+
+def lp_objective(A, y):
+    return lp_minimizer(A, y)[0]
 
 
 class TestSparseSignal:
@@ -97,6 +102,34 @@ class TestBasisPursuit:
             res = basis_pursuit(A, y, tol=1e-9, max_iter=20_000)
             obj = np.abs(res.estimate).sum()
             assert obj == pytest.approx(lp_objective(A, y), abs=1e-6, rel=1e-6)
+
+    def test_repeated_and_negated_columns_reach_the_lp_objective(self):
+        # a column equal to an active one, or to its negative, never joins the
+        # active set, whose Gram it would make singular
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            B = rng.choice([-1.0, 1.0], size=(8, 12))
+            A = np.hstack([B, B[:, :4], -B[:, 4:6]])
+            x = np.zeros(A.shape[1])
+            x[rng.choice(12, 2, replace=False)] = rng.standard_normal(2)
+            res = basis_pursuit(A, A @ x)
+            assert res.status is RecoveryStatus.CONVERGED
+            assert np.abs(res.estimate).sum() == pytest.approx(lp_objective(A, A @ x), rel=1e-9)
+
+    def test_a_path_that_skips_events_ends_uncertified(self, monkeypatch):
+        # a coarse rounding threshold makes the path skip slow events, so
+        # some ends are feasible but not l1-optimal: the certificate must
+        # keep every one of them from reading CONVERGED
+        monkeypatch.setattr(recovery, "ROUNDING", 0.05)
+        rng = np.random.default_rng(3)
+        statuses = []
+        for trial in range(10):
+            A, y = rng.standard_normal((10, 30)), rng.standard_normal(10)
+            res = basis_pursuit(A, y)
+            statuses.append(res.status)
+            if res.status is RecoveryStatus.CONVERGED:
+                assert np.abs(res.estimate).sum() == pytest.approx(lp_objective(A, y), rel=1e-9)
+        assert RecoveryStatus.MAX_ITER in statuses
 
     def test_works_with_fft_backed_operator(self):
         spec = toeplitz_block_spec(64, 8, 4, 4, "bernoulli", seed=5)
@@ -208,11 +241,11 @@ def assert_same_result(a, b):
     ("iid", 60, 0),
     ("toeplitz", 60, 1),
     ("toeplitz-block", 120, 3),
-    ("toeplitz", 80, 25),  # stops at MAX_ITER
+    ("toeplitz", 80, 25),  # a miss of the former Douglas-Rachford decoder
 ])
 def test_generic_operator_decodes_like_dense_on_desk_trials(kind, n, trial):
-    # the generic Gram and unit-vector columns against the dense operator's
-    # own Gram product and slices: every output bit must agree
+    # the generic unit-vector columns against the dense operator's own
+    # slices: every output bit must agree
     cfg, A, signal, y = desk_trial(kind, n, trial)
     plain = LinearOperator(A.shape, lambda x: A @ x, lambda v: A.T @ v)
     dense = dense_operator(A)
@@ -220,8 +253,34 @@ def test_generic_operator_decodes_like_dense_on_desk_trials(kind, n, trial):
           for op in (plain, dense)]
     assert_same_result(*bp)
     if (kind, n, trial) == ("toeplitz", 80, 25):
-        assert bp[0].status is RecoveryStatus.MAX_ITER
+        assert bp[0].status is RecoveryStatus.CONVERGED
+        assert is_exact_recovery(signal, bp[0], cfg.success_rel_tol)
     assert_same_result(*(omp(op, y, cfg.m, tol=cfg.solver_tol) for op in (plain, dense)))
+
+
+# desk trials at master seed 2 that the former Douglas-Rachford decoder
+# scored not recovered although the LP recovers them
+DR_MISSES = (("toeplitz", 60, 1), ("toeplitz-block", 60, 2), ("toeplitz", 80, 25),
+             ("toeplitz-block", 80, 25), ("iid", 180, 120))
+
+
+# the misses, an l1 failure below the transition, and the first trials of
+# the cells at and above the transition
+FIDELITY_TRIALS = tuple(dict.fromkeys(DR_MISSES + (("toeplitz", 40, 1),) + tuple(
+    (kind, n, trial) for kind in ("iid", "toeplitz", "toeplitz-block")
+    for n in (60, 80, 120) for trial in range(4))))
+
+
+@pytest.mark.parametrize("kind,n,trial", FIDELITY_TRIALS)
+def test_run_trial_verdict_matches_lp_on_desk_trials(kind, n, trial):
+    cfg, A, signal, y = desk_trial(kind, n, trial)
+    x = signal.to_dense()
+    lp_ok = np.linalg.norm(lp_minimizer(A, y)[1] - x) <= cfg.success_rel_tol * np.linalg.norm(x)
+    assert bench.run_trial(cfg, kind, n, trial) == lp_ok
+    if (kind, n, trial) in DR_MISSES:
+        assert lp_ok
+    res = basis_pursuit(A, y, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    assert res.status is RecoveryStatus.CONVERGED
 
 
 def _poisoned_operator(A, clean_calls):
@@ -238,18 +297,19 @@ def _poisoned_operator(A, clean_calls):
 
 def test_non_finite_iterate_raises():
     _, A, _, y = desk_trial("iid", 100, 0)
-    # calls 1-2: the Gram and the feasibility check; the loop's third
-    # projection is the first to see NaN
-    with pytest.raises(ValueError, match="not finite"):
-        basis_pursuit(_poisoned_operator(A, 4), y)
+    # steps 1 and 2 stack 1 + 2 unit-vector forwards as their columns;
+    # the first column of step 3 is the first to see NaN
+    with pytest.raises(ValueError, match="step 3 is not finite"):
+        basis_pursuit(_poisoned_operator(A, 3), y)
 
 
 def test_non_finite_iterate_scores_trial_false(monkeypatch, caplog):
     cfg = bench.desk_preset(master_seed=2)
-    monkeypatch.setattr(bench, "dense_operator", lambda M: _poisoned_operator(M.entries, 5))
+    # one forward measures the signal, then the decode runs as above
+    monkeypatch.setattr(bench, "dense_operator", lambda M: _poisoned_operator(M.entries, 4))
     with caplog.at_level(logging.WARNING, logger="structcs.bench"):
         assert bench.run_trial(cfg, "iid", 100, 0) is False
-    assert "ValueError: iterate is not finite" in caplog.text
+    assert "ValueError: homotopy step 3 is not finite" in caplog.text
 
 
 class TestErrorBimodality:
