@@ -357,13 +357,34 @@ class SuccessCurve:
         Path(path).write_text(self.to_csv_text())
 
 
-# names the decoder behind a cached cell; a change to what the decoders
-# return must change it, so that a cache of the old results is not read
-DECODER_VERSION = "lasso-homotopy-1"
+# names the code behind a cached cell: the decoder and the matrix sampler.
+# A change to what the decoders return or to the values a spec samples must
+# change it, so that a cache of the old results is not read
+RESULTS_VERSION = "lasso-homotopy-1+one-stream-pool-1"
 
 
 def _cell_key(config: ExperimentConfig, kind: str, n: int) -> str:
-    return f"{config.digest()}:{DECODER_VERSION}:{kind}:{n}"
+    return f"{config.digest()}:{RESULTS_VERSION}:{kind}:{n}"
+
+
+def _load_cache(cache_file: Path, config: ExperimentConfig) -> dict[str, int]:
+    """Read a cache file; ValueError names it unless it is a JSON object
+    whose counts for this config's cells are ints in 0..trials."""
+    try:
+        cache = json.loads(cache_file.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cache {cache_file} is not valid JSON: {exc}") from None
+    if not isinstance(cache, dict):
+        raise ValueError(f"cache {cache_file} must hold a JSON object, "
+                         f"got {type(cache).__name__}")
+    for kind in config.kinds:
+        for n in config.n_grid:
+            count = cache.get(_cell_key(config, kind, n))
+            if count is not None and not (type(count) is int
+                                          and 0 <= count <= config.trials):
+                raise ValueError(f"cache {cache_file}: {kind} n={n} holds {count!r}, "
+                                 f"not a count in 0..{config.trials}")
+    return cache
 
 
 def _run_cell(config: ExperimentConfig, kind: str, n: int) -> int:
@@ -396,12 +417,12 @@ def success_curve(
     ``threads``, across cells, and ``OPENBLAS_NUM_THREADS`` need not be
     set.  With ``cache_path`` set, each cell is stored as JSON (written
     atomically) as soon as it completes, and reused on reruns of the
-    same config.
+    same config; a malformed cache file raises ValueError.
     """
     cache: dict[str, int] = {}
     cache_file = Path(cache_path) if cache_path else None
     if cache_file and cache_file.exists():
-        cache = json.loads(cache_file.read_text())
+        cache = _load_cache(cache_file, config)
     cells = [(kind, n) for kind in config.kinds for n in config.n_grid]
     pending = [(kind, n) for kind, n in cells
                if _cell_key(config, kind, n) not in cache]

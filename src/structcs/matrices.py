@@ -29,7 +29,10 @@ rows and blocks of shape ``d x e``:
 Labels run block by block: block ``b`` owns labels ``b * per_block`` to
 ``(b + 1) * per_block - 1``.  :func:`label_grid` turns a spec into its
 ``n x N`` label grid, and every builder gathers its entries from a pool
-of values through it.
+of values through it.  The pool is one draw from one generator seeded by
+the spec's seed, in label order: block ``b`` holds the values drawn right
+after block ``b - 1``'s, and an outer block's inner blocks follow one
+another the same way.
 """
 
 from __future__ import annotations
@@ -353,27 +356,11 @@ def distinct_label_count(spec: BlockStructureSpec) -> int:
 
 
 def _sample_pool(spec: BlockStructureSpec) -> np.ndarray:
-    """Sample one value per distinct label, in per-block substreams.
-
-    Substreams are derived from ``(seed, block)`` or
-    ``(seed, block, inner_block)``, so the sampling order of blocks is
-    irrelevant to the result; IID draws one stream from ``(seed,)``.
-    """
-    dist = spec.distribution
-    if spec.kind is MatrixKind.IID:
-        rng = np.random.default_rng([spec.seed])
-        return dist.sample(rng, spec.n * spec.N)
-    blocks = range(_num_blocks(spec.kind, spec.k, spec.l))
-    if spec.nested is None:
-        keys, size = [(spec.seed, b) for b in blocks], spec.d * spec.e
-    else:
-        inner = spec.nested
-        keys = [(spec.seed, b, c) for b in blocks for c in range(inner.k)]
-        size = inner.d * inner.e
-    pool = np.empty(len(keys) * size)
-    for i, key in enumerate(keys):
-        pool[i * size : (i + 1) * size] = dist.sample(np.random.default_rng(key), size)
-    return pool
+    """One value per distinct label, in label order, drawn in one call
+    from the generator seeded by ``[seed]``.  An IID spec is one block,
+    so its entries are that draw in row-major order."""
+    rng = np.random.default_rng([spec.seed])
+    return spec.distribution.sample(rng, distinct_label_count(spec))
 
 
 def build_structured(spec: BlockStructureSpec) -> SensingMatrix:

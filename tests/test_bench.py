@@ -41,7 +41,7 @@ iid,220,2,2,1.000000,0.342380,1.000000
 iid,240,2,2,1.000000,0.342380,1.000000
 iid,256,2,2,1.000000,0.342380,1.000000
 toeplitz,40,0,2,0.000000,0.000000,0.657620
-toeplitz,60,2,2,1.000000,0.342380,1.000000
+toeplitz,60,1,2,0.500000,0.094531,0.905469
 toeplitz,80,2,2,1.000000,0.342380,1.000000
 toeplitz,100,2,2,1.000000,0.342380,1.000000
 toeplitz,120,2,2,1.000000,0.342380,1.000000
@@ -270,6 +270,30 @@ class TestSuccessCurve:
         cache.write_text(json.dumps({f"{cfg.digest()}:iid:48": 0}))
         assert success_curve(cfg, cache_path=cache).cell("iid", 48).successes == 3
         assert json.loads(cache.read_text())[bench._cell_key(cfg, "iid", 48)] == 3
+
+    def test_cache_of_the_per_block_sampler_is_not_read(self, tmp_path):
+        # a cell stored under the key that named the decoder alone, written
+        # when each block drew its values from its own generator
+        cfg = tiny_config(trials=3, kinds=("toeplitz",), n_grid=(48,))
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({f"{cfg.digest()}:lasso-homotopy-1:toeplitz:48": 0}))
+        assert success_curve(cfg, cache_path=cache).cell("toeplitz", 48).successes == 3
+        assert json.loads(cache.read_text())[bench._cell_key(cfg, "toeplitz", 48)] == 3
+
+    @pytest.mark.parametrize("text", ["[]", "{"])
+    def test_cache_that_is_not_a_json_object_is_rejected(self, tmp_path, text):
+        cache = tmp_path / "cache.json"
+        cache.write_text(text)
+        with pytest.raises(ValueError, match="cache.json"):
+            success_curve(tiny_config(trials=1), cache_path=cache)
+
+    @pytest.mark.parametrize("count", ["1", True, 7, -1])
+    def test_cache_count_outside_0_to_trials_is_rejected(self, tmp_path, count):
+        cfg = tiny_config(trials=1, kinds=("iid",), n_grid=(48,))
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({bench._cell_key(cfg, "iid", 48): count}))
+        with pytest.raises(ValueError, match="cache.json"):
+            success_curve(cfg, cache_path=cache)
 
     def test_thread_count_does_not_change_results(self):
         cfg = tiny_config(trials=4, n_grid=(8, 48))

@@ -57,24 +57,24 @@ WITHOUT_BLOCKS = {"iid-gaussian", "iid-sparse-ternary", "iid-spec-k4-l2-bernoull
 
 GOLDEN = {
     "circulant-block-bernoulli": {
-        "entries": "04c6246c3bf87aa59622221e41a6b85b31f92540fe3aec0a4278ac965ae5df2c",
+        "entries": "73afd72dda56ca51ec7265f5e2cd26c7218d027ca4e257ed3b61eaea978cb928",
         "var_id": "ef19e952fe24bc2a734ddef7ad36b256266c4bd562315ea2025282faf489a40d",
-        "blocks": "80b5269f9b151310d97f8581517f9ca5c6d4ad4593dcf784b58241cdc8ef956c",
+        "blocks": "c06b225d7c12663251b3a2bb9fc19fea365eec195f9516def3cd92b30d3b522e",
     },
     "circulant-block-wrap-sparse-ternary": {
-        "entries": "4c520e303df0ae47f7a94903558491228ed79a7491491d12f69711bb1fdcbaae",
+        "entries": "0304fbfa05a3b527f4c842552c6be0a224e1c468a8b7508784b5e4aa412f4970",
         "var_id": "cb7cd748e7589fc203e50053f63889bd8299efd47629e8df687f4aae1da0c9f7",
-        "blocks": "2ae9af8b5f82d56698d34a22afa4f2b45e54d40833537eaf75150bbf9feb84a4",
+        "blocks": "58b48df019f2646981a57bcea8ad5055e1d6da7e4c92d4bcd6036cd705b682a9",
     },
     "circulant-circulant-bernoulli": {
-        "entries": "c257e86c22b7bedb89fa22e6cd78fe078e52acf8751745f76dc7f7407885109a",
+        "entries": "13bcdba9a74e39266f9e2b4b74dbac6d5f06b9881fd58ca9c819ade94af391e1",
         "var_id": "429af9fe862cd4f93793147506f3c4cd7d9bd9a9b5b79e14a01822ab5910e1fe",
-        "blocks": "1592597b2c3f433d5667e0678e60a37291753e45c16eb2aa2f2a653891a171dd",
+        "blocks": "d23762dc060cb9d332d1da41bf177a5e9c9014be30b22b6c52807ce0b62a3228",
     },
     "circulant-circulant-block-gaussian": {
-        "entries": "981a4d0ba033b24704fd05447cfa5ec07b977cc2d5b367bb9d5ec9dcd7ba447c",
+        "entries": "88ba4a062faf8b960ddc265383edd22461cd6fdd218a0897f06dbd511e1d0123",
         "var_id": "e6ef0ba3db6a9fe1838ecd432f5bb11a833b549f4f17e89c56cfd83df585f237",
-        "blocks": "dcb87cd6b8caae54f45d8b0ce25d1c3cc01b91b26c3d06d361fb78979e1db2cb",
+        "blocks": "3eea501a58523c1464708e7cbceb5ba681f314a10cff29a5213e0543467c8646",
     },
     "devore-block-p3-t3-s2": {
         "entries": "2e4446fff4d93969d6f32514713a3b49987cd4d0b3e700d2c3e7172c26511132",
@@ -107,19 +107,19 @@ GOLDEN = {
         "var_id": "e4024d57cca4d19d1c64fdc60db7f208c06d5498339125617d4fb3cdce2b0f6c",
     },
     "toeplitz-block-gaussian": {
-        "entries": "8448dd495c8119842b6e0ebb8bfafa0bcea80f2a10084620435e6338138cdcec",
+        "entries": "07a1b696d58fc868a5adaf7b4576c9e40b4249416c87e464f6b88a2993750557",
         "var_id": "336c7d6f2c07a4416fcb98fc55039d8ce96a298a21de74f078c5dee6e58e54de",
-        "blocks": "c81780cccdc74ebd46307913f196acddf4542a8098cc97a9a4cd19316809fc97",
+        "blocks": "a75d1cda059a50932f3b5b0d35b3eabe7f9fba03f9841f8f7a91f9afd8f08576",
     },
     "toeplitz-block-sparse-ternary": {
-        "entries": "d35998eedf3c05c0b3b7bfdb56ff054c7d077400c5c3c3eefc30260728c71dd2",
+        "entries": "39d8012392b64f16c9dbcfc4547f7911f762ac7943a1155bdc9af084844a7e70",
         "var_id": "20798ec8544ab77a827057ad1dbc436e925ac3595ef729cbd6e61b5d90964a3b",
-        "blocks": "251d04c104a8c42c0331a2a51ed7d5024f1de333152768e8b44d3cc4282cf9ac",
+        "blocks": "490ca36eab56e719519f3cbf6e26fb727bb2fea8ded4a5ec1939d8ea97c92dd4",
     },
     "toeplitz-scalar-bernoulli": {
-        "entries": "fca26b347b0fd0ac10125d608eb6d5f5c45cc1bc69054e40d499da1dc9cff55c",
+        "entries": "9c436e79729924d6d2d2d929be10006a2deb4376aafda0da02877ff0e24d634a",
         "var_id": "045caf46ef940be664a5bbd3781073516df7a78c4cc329ab36220c86c63b0dd9",
-        "blocks": "754f1aad6541c87a3197a5127ecb539e7d53fdeb56147403abe31e6bb95c6358",
+        "blocks": "a70a96e0b5fd2b2b5286cb3cf19bc58190a5854fe109923d5ef6b5e5c06b7188",
     },
 }
 

@@ -304,11 +304,19 @@ class TestBench:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("curve.csv", "config-echo.json", "plot.gp")}
         assert digests == {
-            "curve.csv": "1d966d50cc6d11217bc702b7020d6ed2de8af0db1420fac75b5186399be5985c",
+            "curve.csv": "3332effab3e3c630f0a17d620e82cb65903f9358e9ab5105e5fc073cfb019020",
             "config-echo.json":
                 "6bdbdf617fcf6a7ab084c5b8fb838415cd92f1ac83b58fe6a7e5f8646ad497e9",
             "plot.gp": "7ea365120a27d1a8f21ee08c0896bb7290156f0b6312aff7b132113deb068c18",
         }
+
+    def test_malformed_cache_exits_2(self, tmp_path, capsys):
+        (tmp_path / "cache.json").write_text("[]")
+        assert main(["bench", "--preset", "desk", "--trials", "1",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cache.json" in err and "Traceback" not in err
+        assert not (tmp_path / "curve.csv").exists()
 
     def test_bench_from_config_file(self, tmp_path, capsys):
         cfg = {

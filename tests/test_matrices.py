@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structcs import matrices
 from structcs.matrices import (
     BlockStructureSpec,
     DistributionKind,
@@ -29,6 +30,7 @@ from structcs.matrices import (
     toeplitz_block_spec,
     truncate_rows,
 )
+from structcs.matrices import _sample_pool
 from structcs.matrixio import (
     read_matrix,
     read_matrix_binary,
@@ -228,6 +230,39 @@ class TestStructuralInvariants:
         M = build_structured(toeplitz_block_spec(2, 2, 2, 2, seed=1))
         with pytest.raises(ValueError):
             M.entries[0, 0] = 7.0
+
+
+# one spec of every kind build_structured takes, the nested kinds included
+EVERY_KIND = [
+    iid_spec(4, 6, "gaussian", seed=3),
+    toeplitz_block_spec(3, 2, 2, 2, "bernoulli", seed=4),
+    circulant_block_spec(3, 4, 1, 2, "sparse-ternary", seed=5),
+    circulant_circulant_spec(2, 2, 3, 2, "gaussian", seed=6),
+    circulant_circulant_block_spec(2, 2, 2, 2, 1, 2, "bernoulli", seed=7),
+]
+
+
+class TestOneStream:
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind.value)
+    def test_build_makes_one_generator(self, spec, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(matrices.np.random, "default_rng", counted)
+        build_structured(spec)
+        assert seeds == [[spec.seed]]
+
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind.value)
+    def test_pool_is_one_draw_in_label_order(self, spec):
+        stream = spec.distribution.sample(np.random.default_rng([spec.seed]),
+                                          distinct_label_count(spec))
+        np.testing.assert_array_equal(_sample_pool(spec), stream)
+        M = build_structured(spec)
+        np.testing.assert_array_equal(M.entries, stream[M.var_id])
 
 
 class TestColumnBlockOf:

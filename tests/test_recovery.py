@@ -239,9 +239,9 @@ def assert_same_result(a, b):
 
 @pytest.mark.parametrize("kind,n,trial", [
     ("iid", 60, 0),
-    ("toeplitz", 60, 1),
+    ("toeplitz", 60, 1),  # an l1 failure: its path takes 81 steps
     ("toeplitz-block", 120, 3),
-    ("toeplitz", 80, 25),  # a miss of the former Douglas-Rachford decoder
+    ("toeplitz", 80, 25),  # recovered: checked against its signal below
 ])
 def test_generic_operator_decodes_like_dense_on_desk_trials(kind, n, trial):
     # the generic unit-vector columns against the dense operator's own
@@ -258,17 +258,13 @@ def test_generic_operator_decodes_like_dense_on_desk_trials(kind, n, trial):
     assert_same_result(*(omp(op, y, cfg.m, tol=cfg.solver_tol) for op in (plain, dense)))
 
 
-# desk trials at master seed 2 that the former Douglas-Rachford decoder
-# scored not recovered although the LP recovers them
-DR_MISSES = (("toeplitz", 60, 1), ("toeplitz-block", 60, 2), ("toeplitz", 80, 25),
-             ("toeplitz-block", 80, 25), ("iid", 180, 120))
-
-
-# the misses, an l1 failure below the transition, and the first trials of
-# the cells at and above the transition
-FIDELITY_TRIALS = tuple(dict.fromkeys(DR_MISSES + (("toeplitz", 40, 1),) + tuple(
-    (kind, n, trial) for kind in ("iid", "toeplitz", "toeplitz-block")
-    for n in (60, 80, 120) for trial in range(4))))
+# the first four desk trials (master seed 2) of every kind at n = 40 to 120
+FIDELITY_TRIALS = tuple((kind, n, trial) for kind in ("iid", "toeplitz", "toeplitz-block")
+                        for n in (40, 60, 80, 100, 120) for trial in range(4))
+# those the LP does not recover: every n = 40 trial but iid #2, and one at n = 60
+LP_FAILURES = (("iid", 40, 0), ("iid", 40, 1), ("iid", 40, 3)) + tuple(
+    (kind, 40, trial) for kind in ("toeplitz", "toeplitz-block") for trial in range(4)
+) + (("toeplitz", 60, 1),)
 
 
 @pytest.mark.parametrize("kind,n,trial", FIDELITY_TRIALS)
@@ -277,8 +273,7 @@ def test_run_trial_verdict_matches_lp_on_desk_trials(kind, n, trial):
     x = signal.to_dense()
     lp_ok = np.linalg.norm(lp_minimizer(A, y)[1] - x) <= cfg.success_rel_tol * np.linalg.norm(x)
     assert bench.run_trial(cfg, kind, n, trial) == lp_ok
-    if (kind, n, trial) in DR_MISSES:
-        assert lp_ok
+    assert lp_ok == ((kind, n, trial) not in LP_FAILURES)
     res = basis_pursuit(A, y, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     assert res.status is RecoveryStatus.CONVERGED
 
