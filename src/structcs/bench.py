@@ -360,7 +360,7 @@ class SuccessCurve:
 # names the code behind a cached cell: the decoder and the matrix sampler.
 # A change to what the decoders return or to the values a spec samples must
 # change it, so that a cache of the old results is not read
-RESULTS_VERSION = "lasso-homotopy-1+one-stream-pool-1"
+RESULTS_VERSION = "lasso-homotopy-2+one-stream-pool-1"
 
 
 def _cell_key(config: ExperimentConfig, kind: str, n: int) -> str:

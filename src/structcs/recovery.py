@@ -5,12 +5,14 @@ lasso homotopy (Osborne, Presnell and Turlach 2000; Donoho and Tsaig
 2008): it follows the minimizer of 1/2 ||Ax - y||^2 + lambda ||x||_1
 from lambda = ||A^T y||_inf, where it is 0, down to lambda = 0.  The
 path is piecewise linear in lambda and changes its active set I at one
-index per step.  Each step takes the active columns from
-``LinearOperator.columns``, factors their Gram matrix A_I^T A_I afresh
-with ``scipy.linalg.cho_factor``, solves for the point and the direction
-with ``cho_solve``, and makes one adjoint apply for the correlations.
-The end of the path is checked with a dual certificate on the final
-active set, so CONVERGED means a certified minimum-l1 solution.
+index per step.  The operator is applied to y once, at the start, and to
+each column once, when it joins I: the active columns A_I (from
+``LinearOperator.columns``) and their correlations A^T A_I are kept, and
+a dropped index only shifts them.  Each step factors the Gram matrix
+A_I^T A_I afresh with LAPACK ``potrf``, solves for the point and the
+direction with ``potrs``, and reads every correlation off A^T A_I.  The
+end of the path is checked with a dual certificate on the final active
+set, so CONVERGED means a certified minimum-l1 solution.
 
 ``omp`` is the greedy cross-check decoder: pick the column most
 correlated with the residual, refit by least squares, repeat.
@@ -101,6 +103,23 @@ def _check_finite(values, step: int) -> None:
         raise ValueError(f"homotopy step {step} is not finite")
 
 
+# LAPACK's Cholesky factor and solve, bound once: the calls
+# scipy.linalg.cho_factor and cho_solve make, without their per-call checks
+_potrf = scipy.linalg.lapack.dpotrf
+_potrs = scipy.linalg.lapack.dpotrs
+
+
+def _cho_solve(gram, rhs) -> np.ndarray:
+    """Solve gram @ z = rhs by Cholesky; LinAlgError, as cho_factor raises,
+    when gram is not positive definite."""
+    factor, info = _potrf(gram, lower=False, clean=False)
+    if info == 0:
+        z, info = _potrs(factor, rhs, lower=False)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky factor or solve failed: LAPACK info {info}")
+    return z
+
+
 def basis_pursuit(
     op,
     y,
@@ -139,21 +158,49 @@ def basis_pursuit(
         # y is orthogonal to the range of A: the path stays at x = 0
         return RecoveryResult(np.zeros(N), 0, ynorm, RecoveryStatus.INFEASIBLE)
     end_tie = ROUNDING * lam
-    active, signs = [j], [float(np.sign(corr[j]))]
+    # the active columns A_I and their correlations A^T A_I, in the order of
+    # ``active``: Fortran order keeps a column contiguous, and np.empty
+    # touches only the columns written.  I never outgrows min(n, N)
+    active: list[int] = []
+    signs: list[float] = []
+    A_I = np.empty((n, min(n, N)), order="F")
+    AtA_I = np.empty((N, min(n, N)), order="F")
+
+    def add(j: int, sign: float, step: int) -> None:
+        # the one adjoint apply of a column, made when it joins I
+        k = len(active)
+        A_I[:, k] = op.columns([j])[:, 0]
+        AtA_I[:, k] = op.adjoint(A_I[:, k])
+        _check_finite(AtA_I[:, k], step)
+        active.append(j)
+        signs.append(sign)
+
+    def drop(i: int) -> None:
+        # shift the later columns left: no apply
+        k = len(active)
+        A_I[:, i:k - 1] = A_I[:, i + 1:k]
+        AtA_I[:, i:k - 1] = AtA_I[:, i + 1:k]
+        del active[i], signs[i]
+
+    add(j, float(np.sign(corr[j])), 1)
     for it in range(1, max_iter + 1):
         # on the active set I with signs s, x_I solves
         # A_I^T A_I x_I = A_I^T y - lambda s and moves along
         # d_I = (A_I^T A_I)^-1 s as lambda falls
-        cols = op.columns(active)
+        k = len(active)
+        cols = A_I[:, :k]
         gram = cols.T @ cols
         _check_finite(gram, it)
         s = np.array(signs)
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
-        x_a, d_a = scipy.linalg.cho_solve(
-            factor, np.column_stack([cols.T @ y - lam * s, s]), check_finite=False).T
-        ca = op.adjoint(np.column_stack([y - cols @ x_a, cols @ d_a]))
+        sol = _cho_solve(gram, np.column_stack([cols.T @ y - lam * s, s]))
+        x_a, d_a = sol.T
+        # c = A^T (y - A_I x_I) and a = A^T A_I d_I, from A^T y and the
+        # kept A^T A_I; c is taken afresh from A^T y at every step, so
+        # rounding does not build up along the path
+        ca = AtA_I[:, :k] @ sol
         _check_finite(ca, it)
-        c, a = ca.T
+        c = corr - ca[:, 0]
+        a = ca[:, 1]
         x = np.zeros(N)
         x[active] = x_a
         if lam == 0.0:
@@ -173,18 +220,17 @@ def basis_pursuit(
             steps = np.where(rate > ROUNDING, np.maximum(gap, 0.0) / rate, np.inf)
         adds = steps[:2 * N].reshape(2, N)
         adds[:, active] = np.inf
-        if len(active) == n:
+        if k == n:
             adds[:] = np.inf  # a full active set ties every add with the end
-        k = int(np.argmin(steps))
-        if steps[k] > lam - end_tie:
+        e = int(np.argmin(steps))
+        if steps[e] > lam - end_tie:
             lam = 0.0
             continue
-        lam -= steps[k]
-        if k < 2 * N:
-            active.append(k % N)
-            signs.append(1.0 if k < N else -1.0)
+        lam -= steps[e]
+        if e < 2 * N:
+            add(e % N, 1.0 if e < N else -1.0, it)
         else:
-            del active[k - 2 * N], signs[k - 2 * N]
+            drop(e - 2 * N)
     else:
         certified = None  # the cap came first
 

@@ -280,6 +280,16 @@ class TestSuccessCurve:
         assert success_curve(cfg, cache_path=cache).cell("toeplitz", 48).successes == 3
         assert json.loads(cache.read_text())[bench._cell_key(cfg, "toeplitz", 48)] == 3
 
+    def test_cache_of_the_per_step_adjoint_decoder_is_not_read(self, tmp_path):
+        # a cell stored when the homotopy made a two-column adjoint every
+        # step, whose estimates differ in the last bits
+        cfg = tiny_config(trials=3, kinds=("toeplitz",), n_grid=(48,))
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps(
+            {f"{cfg.digest()}:lasso-homotopy-1+one-stream-pool-1:toeplitz:48": 0}))
+        assert success_curve(cfg, cache_path=cache).cell("toeplitz", 48).successes == 3
+        assert json.loads(cache.read_text())[bench._cell_key(cfg, "toeplitz", 48)] == 3
+
     @pytest.mark.parametrize("text", ["[]", "{"])
     def test_cache_that_is_not_a_json_object_is_rejected(self, tmp_path, text):
         cache = tmp_path / "cache.json"

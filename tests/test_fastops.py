@@ -176,7 +176,7 @@ class TestOperators:
         np.testing.assert_allclose(op.forward(X), M.entries @ X, rtol=1e-10)
 
 
-class TestGramAndColumns:
+class TestColumns:
     def test_columns_are_slices_and_unit_forwards(self):
         A = np.random.default_rng(4).standard_normal((30, 90))
         S = (7, 0, 88, 41)
@@ -188,14 +188,14 @@ class TestGramAndColumns:
         assert op.columns(S).flags.c_contiguous
         assert op.columns(()).shape == (30, 0)
 
-    def test_generic_operator_derives_gram_and_columns_from_its_maps(self):
+    def test_generic_operator_derives_columns_from_its_maps(self):
         A = np.random.default_rng(5).standard_normal((20, 60))
         plain = LinearOperator(A.shape, lambda x: A @ x, lambda y: A.T @ y)
         dense = dense_operator(A)
         np.testing.assert_array_equal(plain.columns([3, 59, 3]), dense.columns([3, 59, 3]))
         assert plain.columns([]).shape == (20, 0)
 
-    def test_fft_operator_columns_and_gram_match_dense(self):
+    def test_fft_operator_columns_match_dense(self):
         M = build_structured(toeplitz_block_spec(8, 4, 3, 2, seed=9))
         op = structured_operator(M)
         assert op.backend == "fft"

@@ -258,6 +258,59 @@ def test_generic_operator_decodes_like_dense_on_desk_trials(kind, n, trial):
     assert_same_result(*(omp(op, y, cfg.m, tol=cfg.solver_tol) for op in (plain, dense)))
 
 
+class _RecordingOperator(LinearOperator):
+    """A held array that records the dimension of each adjoint's input and
+    the number of indices of each ``columns`` call."""
+
+    def __init__(self, A):
+        super().__init__(A.shape, lambda x: A @ x, lambda v: A.T @ v)
+        self.adjoint_ndims, self.column_counts = [], []
+
+    def adjoint(self, y):
+        self.adjoint_ndims.append(np.ndim(y))
+        return super().adjoint(y)
+
+    def columns(self, idx):
+        self.column_counts.append(len(idx))
+        return super().columns(idx)
+
+
+def test_homotopy_applies_the_adjoint_to_y_and_to_each_added_column_once():
+    # toeplitz n=40 #1 runs longer than n steps, so its path drops indices
+    cfg, A, _, y = desk_trial("toeplitz", 40, 1)
+    op = _RecordingOperator(A)
+    res = basis_pursuit(op, y, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    assert res.iterations > 40
+    assert op.column_counts and set(op.column_counts) == {1}
+    # A^T y, then one vector apply per added column: no step applies it
+    assert op.adjoint_ndims == [1] * (len(op.column_counts) + 1)
+    # the steps are the adds after the first, the drops and the final
+    # solve: a drop fetches no column and applies nothing
+    assert len(op.column_counts) < res.iterations
+
+
+def test_a_capped_path_returns_the_point_of_its_last_solve():
+    # every cap short of toeplitz n=40 #1's full path, drops included: the
+    # estimate must sit on the active set of the capped step's solve, where
+    # the residual's correlations reach +-lambda, the largest they take
+    cfg, A, _, y = desk_trial("toeplitz", 40, 1)
+    steps = basis_pursuit(A, y, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter).iterations
+    assert steps > 40
+    for cap in range(1, steps):
+        res = basis_pursuit(A, y, tol=cfg.solver_tol, max_iter=cap)
+        assert res.status is RecoveryStatus.MAX_ITER and res.iterations == cap
+        x = res.estimate
+        assert res.residual_norm == np.linalg.norm(A @ x - y)
+        c = A.T @ (y - A @ x)
+        lam = np.abs(c).max()
+        support = np.flatnonzero(x)
+        assert 0 < len(support) <= 40
+        np.testing.assert_allclose(np.abs(c[support]), lam, rtol=1e-9)
+        # an index added at this very step sits at 0 up to rounding
+        settled = support[np.abs(x[support]) > 1e-9 * np.abs(x).max()]
+        np.testing.assert_array_equal(np.sign(c[settled]), np.sign(x[settled]))
+
+
 # the first four desk trials (master seed 2) of every kind at n = 40 to 120
 FIDELITY_TRIALS = tuple((kind, n, trial) for kind in ("iid", "toeplitz", "toeplitz-block")
                         for n in (40, 60, 80, 100, 120) for trial in range(4))
@@ -292,8 +345,8 @@ def _poisoned_operator(A, clean_calls):
 
 def test_non_finite_iterate_raises():
     _, A, _, y = desk_trial("iid", 100, 0)
-    # steps 1 and 2 stack 1 + 2 unit-vector forwards as their columns;
-    # the first column of step 3 is the first to see NaN
+    # one unit-vector forward fetches the first column, and steps 1 and 2
+    # each add one more; the column step 3 adds is the first to see NaN
     with pytest.raises(ValueError, match="step 3 is not finite"):
         basis_pursuit(_poisoned_operator(A, 3), y)
 
