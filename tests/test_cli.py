@@ -112,6 +112,14 @@ class TestRip:
         assert code == 2
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_matrix_is_exit_2(self, tmp_path, capsys, value):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,{value}\n0,1\n")
+        assert main(["rip", "--matrix", str(path), "--order", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "non-finite" in err and "Traceback" not in err
+
 
 class TestBuildAndRecover:
     def test_build_csv_then_recover(self, tmp_path, capsys):

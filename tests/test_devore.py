@@ -185,3 +185,27 @@ class TestRipGuarantee:
     def test_guard(self):
         with pytest.raises(GuardExceededError):
             verify_rip_guarantee(PolySpec(p=7, r=1, t=1, s=1, l=49), 7, guard=1000)
+
+
+# (spec, m): worst_eig_delta and worst_rowsum_delta as float.hex, and the
+# support count, from the scan that eigensolved every support
+_PINNED_CERTIFICATES = {
+    ((7, 1, 4, 2, 5), 2): ("0x1.2492492492494p-3", "0x1.2492492492492p-3", 190),
+    ((7, 1, 4, 2, 5), 3): ("0x1.2492492492490p-2", "0x1.2492492492492p-2", 1140),
+    ((7, 1, 4, 2, 5), 4): ("0x1.76b7f50c90ee4p-2", "0x1.b6db6db6db6dbp-2", 4845),
+    ((7, 1, 4, 2, 5), 5): ("0x1.d963f8d3ff30cp-2", "0x1.2492492492492p-1", 15504),
+    ((5, 2, 5, 3, 6), 2): ("0x1.5555555555556p-2", "0x1.5555555555555p-2", 435),
+    ((5, 2, 5, 3, 6), 3): ("0x1.3f182bab1f86ep-1", "0x1.5555555555555p-1", 4060),
+    ((5, 1, 5, 2, 5), 4): ("0x1.3333333333338p-1", "0x1.3333333333333p-1", 12650),
+    ((5, 2, 4, 2, 5), 3): ("0x1.9999999999998p-2", "0x1.999999999999ap-2", 1140),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CERTIFICATES))
+def test_certificate_bits_are_pinned(case):
+    (p, r, t, s, l), m = case
+    eig, rowsum, count = _PINNED_CERTIFICATES[case]
+    cert = verify_rip_guarantee(PolySpec(p=p, r=r, t=t, s=s, l=l), m)
+    assert cert.worst_eig_delta.hex() == eig
+    assert cert.worst_rowsum_delta.hex() == rowsum
+    assert (cert.supports_checked, cert.passed) == (count, True)
