@@ -256,8 +256,8 @@ def delta_monte_carlo(matrix, m: int, samples: int, seed: int) -> RipEstimate:
     def draws():
         for start in range(0, samples, CHUNK):
             count = min(CHUNK, samples - start)
-            yield np.array([np.sort(rng.choice(N, size=m, replace=False))
-                            for _ in range(count)])
+            block = [rng.choice(N, size=m, replace=False).tolist() for _ in range(count)]
+            yield np.sort(np.array(block), axis=1)
 
     delta, support = _scan_supports(A, draws())
     return RipEstimate(
