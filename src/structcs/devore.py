@@ -35,7 +35,7 @@ from .matrices import (
     EntryDistribution,
     MatrixKind,
     SensingMatrix,
-    label_grid,
+    from_blocks,
 )
 from .ripest import (
     EXHAUSTIVE_GUARD,
@@ -183,11 +183,11 @@ def build_devore_block(spec: PolySpec) -> SensingMatrix:
     p, r, t, s, l = spec.p, spec.r, spec.t, spec.s, spec.l
     d = p * p
     raw = _graph_columns(p, r, t * l)
-    # the label pool holds the graph columns block by block
-    pool = raw.reshape(d, t, l).transpose(1, 0, 2).ravel() / math.sqrt(s * p)
+    # block b is graph columns b*l .. b*l + l - 1
+    blocks = raw.reshape(d, t, l).transpose(1, 0, 2) / math.sqrt(s * p)
     dist = EntryDistribution(DistributionKind.BERNOULLI, s * d)
     mspec = BlockStructureSpec(MatrixKind.DETERMINISTIC, t, s, d, l, dist, seed=0)
-    return SensingMatrix(entries=pool[label_grid(mspec)], spec=mspec)
+    return from_blocks(mspec, blocks)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """FFT-accelerated products for block-convolution matrices.
 
-The block grid along each block row is a (possibly wrapped) band
-sequence, so a matrix-vector product is a block convolution: embed the
-band in a circulant sequence of power-of-two length >= k + l - 1, FFT
-along the block axis, multiply blockwise in the frequency domain, and
-invert.  ``dense_matvec`` is the exact oracle the fast path is tested
-against.
+A block grid is fixed by its band: ``matrices.band_blocks`` extends the
+distinct blocks to the length ``k + l - 1`` band, the same band the
+build tiles into the dense entries.  A matrix-vector product is then a
+block convolution: embed the band in a circulant sequence of power-of-two
+length >= k + l - 1, FFT along the block axis, multiply blockwise in the
+frequency domain, and invert.  ``dense_matvec`` is the exact oracle the
+fast path is tested against.
 
 ``structured_operator`` is library-only: the CLI and the bench decode
 with ``dense_operator``, which is also what ``basis_pursuit`` and
@@ -16,7 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import BlockStructureSpec, MatrixKind, SensingMatrix, distinct_blocks
+from .matrices import (
+    BlockStructureSpec,
+    MatrixKind,
+    SensingMatrix,
+    band_blocks,
+    distinct_blocks,
+)
 
 __all__ = [
     "LinearOperator",
@@ -111,13 +118,6 @@ def _next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
-def _band_blocks(blocks, kind, k, l):
-    """Band sequence indexed by offset + (k-1), offsets -(k-1)..l-1."""
-    if kind is MatrixKind.TOEPLITZ_BLOCK:
-        return blocks
-    return blocks[np.arange(k + l - 1) % k]
-
-
 def _band_fft_matvec(band, k, l, d, e, x):
     """y[i] = sum_j band[i - j + k - 1] @ x[j], block rows i < l, cols j < k.
 
@@ -164,7 +164,7 @@ def fast_matvec(spec: BlockStructureSpec, blocks: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != spec.N:
         raise ValueError(f"x has length {x.shape[0]}, expected {spec.N}")
-    band = _band_blocks(np.asarray(blocks), spec.kind, spec.k, spec.l)
+    band = band_blocks(np.asarray(blocks), spec.kind, spec.k, spec.l)
     return _band_fft_matvec(band, spec.k, spec.l, spec.d, spec.e, x)
 
 
@@ -175,7 +175,7 @@ def fast_adjoint_matvec(spec: BlockStructureSpec, blocks: np.ndarray, y) -> np.n
     if y.shape[0] != spec.n:
         raise ValueError(f"y has length {y.shape[0]}, expected {spec.n}")
     # the transpose is the reversed band of transposed blocks
-    band = _band_blocks(np.asarray(blocks), spec.kind, spec.k, spec.l)
+    band = band_blocks(np.asarray(blocks), spec.kind, spec.k, spec.l)
     band_t = band[::-1].transpose(0, 2, 1)
     return _band_fft_matvec(band_t, spec.l, spec.k, spec.e, spec.d, y)
 

@@ -27,12 +27,17 @@ rows and blocks of shape ``d x e``:
   samples of the inner structure.
 
 Labels run block by block: block ``b`` owns labels ``b * per_block`` to
-``(b + 1) * per_block - 1``.  :func:`label_grid` turns a spec into its
-``n x N`` label grid, and every builder gathers its entries from a pool
-of values through it.  The pool is one draw from one generator seeded by
-the spec's seed, in label order: block ``b`` holds the values drawn right
-after block ``b - 1``'s, and an outer block's inner blocks follow one
-another the same way.
+``(b + 1) * per_block - 1``.  The pool is one draw from one generator
+seeded by the spec's seed, in label order: block ``b`` holds the values
+drawn right after block ``b - 1``'s, and an outer block's inner blocks
+follow one another the same way.
+
+The build never forms labels.  The pool, reshaped, is the distinct
+blocks; :func:`band_blocks` extends them to the length ``k + l - 1``
+band with ``band[k - 1 + i - j]`` the block at ``(i, j)``, and one
+strided copy of a sliding window over the band tiles the matrix.  An IID
+matrix is its pool reshaped.  :func:`label_grid` turns a spec into its
+``n x N`` label grid; only ``var_id`` uses it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "MatrixKind",
@@ -55,6 +61,8 @@ __all__ = [
     "sample_iid",
     "build_structured",
     "label_grid",
+    "band_blocks",
+    "from_blocks",
     "column_block_of",
     "distinct_blocks",
     "distinct_label_count",
@@ -111,15 +119,14 @@ class EntryDistribution:
         n = self.scale_rows
         if self.kind is DistributionKind.GAUSSIAN:
             return rng.standard_normal(count) / math.sqrt(n)
+        # the drawn face indexes a table of the values; the results are
+        # bit for bit those of scaling the integer draw
         if self.kind is DistributionKind.BERNOULLI:
-            signs = rng.integers(0, 2, size=count) * 2 - 1
-            return signs / math.sqrt(n)
+            v = 1 / math.sqrt(n)
+            return np.array([-v, v]).take(rng.integers(0, 2, size=count))
         # sparse ternary: sextile draw, two faces carry the spikes
-        u = rng.integers(0, 6, size=count)
-        vals = np.zeros(count)
-        vals[u == 0] = math.sqrt(3.0 / n)
-        vals[u == 1] = -math.sqrt(3.0 / n)
-        return vals
+        w = math.sqrt(3.0 / n)
+        return np.array([w, -w, 0, 0, 0, 0.0]).take(rng.integers(0, 6, size=count))
 
 
 @dataclass(frozen=True)
@@ -331,28 +338,69 @@ def _tile_labels(bid: np.ndarray, inner: np.ndarray, inner_count: int) -> np.nda
     return full.reshape(l * d, k * e)
 
 
-def _inner_labels(spec: BlockStructureSpec) -> tuple[np.ndarray, int]:
-    """Label grid of one block and the count of distinct labels in it."""
+def _per_block(spec: BlockStructureSpec) -> int:
+    """Number of distinct labels in one block."""
     if spec.nested is None:
-        return np.arange(spec.d * spec.e).reshape(spec.d, spec.e), spec.d * spec.e
+        return spec.d * spec.e
+    return spec.nested.k * spec.nested.d * spec.nested.e
+
+
+def _inner_labels(spec: BlockStructureSpec) -> np.ndarray:
+    """Label grid of one block."""
+    if spec.nested is None:
+        return np.arange(spec.d * spec.e).reshape(spec.d, spec.e)
     inner = spec.nested
     leaf = np.arange(inner.d * inner.e).reshape(inner.d, inner.e)
     bid = _block_id_grid(inner.kind, inner.k, inner.l)
-    grid = _tile_labels(bid, leaf, inner.d * inner.e)
-    return grid, inner.k * inner.d * inner.e
+    return _tile_labels(bid, leaf, inner.d * inner.e)
 
 
 def label_grid(spec: BlockStructureSpec) -> np.ndarray:
     """The n x N label grid: entry (i, j) copies pool value ``grid[i, j]``."""
-    inner, per_block = _inner_labels(spec)
     bid = _block_id_grid(spec.kind, spec.k, spec.l)
-    return _tile_labels(bid, inner, per_block).astype(np.int64, copy=False)
+    grid = _tile_labels(bid, _inner_labels(spec), _per_block(spec))
+    return grid.astype(np.int64, copy=False)
 
 
 def distinct_label_count(spec: BlockStructureSpec) -> int:
     """Number of independent scalar random variables behind the matrix."""
-    _, per_block = _inner_labels(spec)
-    return _num_blocks(spec.kind, spec.k, spec.l) * per_block
+    return _num_blocks(spec.kind, spec.k, spec.l) * _per_block(spec)
+
+
+# ---------------------------------------------------------------------------
+# building
+
+
+def band_blocks(blocks: np.ndarray, kind: MatrixKind, k: int, l: int) -> np.ndarray:
+    """The band of a grid of ``l`` block rows by ``k`` block columns:
+    ``band[k - 1 + i - j]`` is the block at block position ``(i, j)``.
+
+    ``blocks`` has shape (..., num_blocks, d, e) in block order.  A
+    Toeplitz band is its blocks; every other kind numbers its blocks
+    modulo ``k``, so its band repeats them.
+    """
+    if kind is MatrixKind.TOEPLITZ_BLOCK:
+        return blocks
+    return np.take(blocks, np.arange(k + l - 1) % k, axis=-3)
+
+
+def _tile(band: np.ndarray, k: int) -> np.ndarray:
+    """The (l*d) x (k*e) matrix of a band (..., k + l - 1, d, e), in one copy.
+
+    A window of ``k`` blocks slides down the band; reversed, window ``i``
+    is block row ``i`` from left to right.
+    """
+    *lead, length, d, e = band.shape
+    rows = sliding_window_view(band, k, axis=-3)[..., ::-1]  # (..., l, d, e, k)
+    tiled = np.ascontiguousarray(rows.swapaxes(-1, -2))
+    return tiled.reshape(*lead, (length - k + 1) * d, k * e)
+
+
+def from_blocks(spec: BlockStructureSpec, blocks: np.ndarray) -> SensingMatrix:
+    """The matrix of ``spec`` whose distinct blocks, in block order, are
+    ``blocks`` (num_blocks, d, e)."""
+    band = band_blocks(blocks, spec.kind, spec.k, spec.l)
+    return SensingMatrix(entries=_tile(band, spec.k), spec=spec)
 
 
 def _sample_pool(spec: BlockStructureSpec) -> np.ndarray:
@@ -368,11 +416,21 @@ def build_structured(spec: BlockStructureSpec) -> SensingMatrix:
 
     The block layout follows the module-level conventions; blocks are
     fresh IID samples that share entries only through structural
-    repetition, which ``var_id`` records exactly.
+    repetition, which ``var_id`` records exactly.  The pool is tiled
+    straight into the entries: no label is formed.
     """
     if spec.kind is MatrixKind.DETERMINISTIC:
         raise ValueError("deterministic matrices are built by structcs.devore")
-    return SensingMatrix(entries=_sample_pool(spec)[label_grid(spec)], spec=spec)
+    pool = _sample_pool(spec)
+    if spec.kind is MatrixKind.IID:
+        return SensingMatrix(entries=pool.reshape(spec.shape), spec=spec)
+    if spec.nested is None:
+        return from_blocks(spec, pool.reshape(-1, spec.d, spec.e))
+    # each outer block is the tiled band of its own inner blocks
+    inner = spec.nested
+    leaves = pool.reshape(-1, inner.k, inner.d, inner.e)
+    blocks = _tile(band_blocks(leaves, inner.kind, inner.k, inner.l), inner.k)
+    return from_blocks(spec, blocks)
 
 
 def sample_iid(rows: int, cols: int, dist: EntryDistribution, seed: int) -> SensingMatrix:
@@ -393,21 +451,19 @@ def column_block_of(spec: BlockStructureSpec, col: int) -> int:
 def distinct_blocks(matrix: SensingMatrix) -> np.ndarray:
     """The distinct block values, shape (num_blocks, d, e), in block order.
 
-    The top block row and the left block column hold every block, so
-    their entries are scattered back into the label pool and each block
-    is read through its labels.  Requires an untruncated matrix.
+    The top block row and the left block column hold every block: block
+    ``k - 1 - j`` sits at ``(0, j)`` and block ``k - 1 + i`` at ``(i, 0)``.
+    Both are read by slicing.  Requires an untruncated matrix.
     """
     spec = matrix.spec
     if spec.kind is MatrixKind.IID:
         raise ValueError("an IID matrix has no repeated block structure")
     if matrix.is_truncated:
         raise ValueError("cannot extract blocks from a truncated matrix")
-    inner, per_block = _inner_labels(spec)
-    pool = np.empty((_num_blocks(spec.kind, spec.k, spec.l), per_block))
-    flat = pool.ravel()
-    flat[matrix.var_id[: spec.d]] = matrix.entries[: spec.d]
-    flat[matrix.var_id[:, : spec.e]] = matrix.entries[:, : spec.e]
-    return pool[:, inner]
+    k, l, d, e = spec.k, spec.l, spec.d, spec.e
+    top = matrix.entries[:d].reshape(d, k, e).transpose(1, 0, 2)[::-1]
+    left = matrix.entries[d:, :e].reshape(l - 1, d, e)
+    return np.concatenate([top, left[: _num_blocks(spec.kind, k, l) - k]])
 
 
 def truncate_rows(matrix: SensingMatrix, rows: int) -> SensingMatrix:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structcs import matrices
 from structcs.devore import (
     PolySpec,
     build_devore,
@@ -143,6 +144,20 @@ class TestBuildDevoreBlock:
         d = 9
         np.testing.assert_array_equal(M.var_id[d:, :3], M.var_id[:d, 6:])
         np.testing.assert_array_equal(M.entries[d:, :3], M.entries[:d, 6:])
+
+    def test_block_build_forms_no_label_grid(self, monkeypatch):
+        def no_labels(spec):
+            raise AssertionError("the build formed a label grid")
+
+        spec = PolySpec(p=5, r=2, t=4, s=3, l=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "label_grid", no_labels)
+            M = build_devore_block(spec)
+        # the circulant band of graph-column blocks is the label gather
+        d = 25
+        raw = np.rint(M.entries * math.sqrt(3 * 5)).astype(np.int64)
+        pool = raw[:d].reshape(d, 4, 5)[:, ::-1].transpose(1, 0, 2).ravel()
+        np.testing.assert_array_equal(raw, pool[M.var_id])
 
     def test_raw_inner_products_at_most_sr(self):
         spec = PolySpec(p=5, r=2, t=4, s=2, l=5)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structcs import matrices
 from structcs.fastops import (
     LinearOperator,
     UnsupportedStructureError,
@@ -168,6 +169,24 @@ class TestOperators:
             op.forward(np.ones(4))
         with pytest.raises(ValueError):
             op.adjoint(np.ones(4))
+
+    @pytest.mark.parametrize("spec", [
+        toeplitz_block_spec(5, 3, 2, 3, "bernoulli", seed=4),
+        circulant_block_spec(3, 8, 2, 2, "sparse-ternary", seed=5),
+        circulant_circulant_spec(3, 2, 4, 2, "gaussian", seed=6),
+    ], ids=lambda spec: spec.kind.value)
+    def test_fft_operator_forms_no_label_grid(self, spec, monkeypatch):
+        def no_labels(spec):
+            raise AssertionError("a label grid was formed")
+
+        monkeypatch.setattr(matrices, "label_grid", no_labels)
+        M = build_structured(spec)
+        op = structured_operator(M)
+        assert op.backend == "fft"
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(M.N), rng.standard_normal(M.n)
+        assert rel_err(op.forward(x), dense_matvec(M, x)) <= 1e-10
+        assert rel_err(op.adjoint(y), dense_matvec(M.entries.T, y)) <= 1e-10
 
     def test_batched_forward(self):
         M = build_structured(circulant_block_spec(3, 2, 2, 2, seed=6))

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -22,6 +23,7 @@ from structcs.matrices import (
     distinct_blocks,
     distinct_label_count,
     iid_spec,
+    label_grid,
     sample_iid,
     spec_from_dict,
     spec_from_json,
@@ -194,16 +196,26 @@ class TestBlockLayouts:
 
 @st.composite
 def small_specs(draw):
-    kind = draw(st.sampled_from(["toeplitz", "circulant", "nested"]))
+    """A small spec of any kind ``build_structured`` takes, in any of the
+    three distributions; circulant block rows run to 2k + 3, past a wrap."""
+    kind = draw(st.sampled_from(["iid", "toeplitz", "circulant", "nested", "nested-block"]))
+    dist = draw(st.sampled_from(list(DistributionKind)))
     seed = draw(st.integers(0, 2**32))
+    if kind == "iid":
+        return iid_spec(draw(st.integers(1, 8)), draw(st.integers(1, 8)), dist, seed)
     if kind == "nested":
         k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        return circulant_circulant_spec(k, l, p, q, "gaussian", seed)
-    k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        return circulant_circulant_spec(k, l, p, q, dist, seed)
+    if kind == "nested-block":
+        k1, l1, k2, l2 = (draw(st.integers(1, 3)) for _ in range(4))
+        d2, e2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        return circulant_circulant_block_spec(k1, l1, k2, l2, d2, e2, dist, seed)
+    k = draw(st.integers(1, 4))
+    l = draw(st.integers(1, 2 * k + 3 if kind == "circulant" else 4))
     d, e = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     build = toeplitz_block_spec if kind == "toeplitz" else circulant_block_spec
-    return build(k, l, d, e, "gaussian", seed)
+    return build(k, l, d, e, dist, seed)
 
 
 class TestStructuralInvariants:
@@ -262,7 +274,62 @@ class TestOneStream:
                                           distinct_label_count(spec))
         np.testing.assert_array_equal(_sample_pool(spec), stream)
         M = build_structured(spec)
-        np.testing.assert_array_equal(M.entries, stream[M.var_id])
+        assert M.entries.tobytes() == stream[M.var_id].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_specs())
+    def test_tiled_build_is_the_stream_through_the_labels(self, spec):
+        # the band tiler reproduces the label gather byte for byte
+        stream = spec.distribution.sample(np.random.default_rng([spec.seed]),
+                                          distinct_label_count(spec))
+        M = build_structured(spec)
+        assert M.entries.flags.c_contiguous
+        assert M.entries.tobytes() == stream[M.var_id].tobytes()
+        if spec.kind is not MatrixKind.IID:
+            # block b holds labels b * per_block + the one-block label grid
+            inner = matrices._inner_labels(spec)
+            blocks = stream.reshape(-1, matrices._per_block(spec))[:, inner]
+            assert distinct_blocks(M).tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind.value)
+    def test_build_forms_no_label_grid(self, spec, monkeypatch):
+        def no_labels(spec):
+            raise AssertionError("the build formed a label grid")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "label_grid", no_labels)
+            M = build_structured(spec)
+            if spec.kind is not MatrixKind.IID:
+                distinct_blocks(M)
+        np.testing.assert_array_equal(M.var_id, label_grid(spec))
+
+
+def _old_sample(dist, rng, count):
+    """The sampler as it was before the table lookup: int64 arithmetic and
+    boolean masks."""
+    n = dist.scale_rows
+    if dist.kind is DistributionKind.GAUSSIAN:
+        return rng.standard_normal(count) / math.sqrt(n)
+    if dist.kind is DistributionKind.BERNOULLI:
+        return (rng.integers(0, 2, size=count) * 2 - 1) / math.sqrt(n)
+    u = rng.integers(0, 6, size=count)
+    vals = np.zeros(count)
+    vals[u == 0] = math.sqrt(3.0 / n)
+    vals[u == 1] = -math.sqrt(3.0 / n)
+    return vals
+
+
+@pytest.mark.parametrize("n", [1, 7, 40, 1000])
+@pytest.mark.parametrize("kind", list(DistributionKind), ids=lambda kind: kind.value)
+def test_sampler_keeps_the_old_bytes(kind, n):
+    dist = EntryDistribution(kind, n)
+    new = dist.sample(np.random.default_rng([n]), 3000)
+    old = _old_sample(dist, np.random.default_rng([n]), 3000)
+    # bytes, not values: a -0.0 for a 0.0 would show here
+    assert new.tobytes() == old.tobytes()
+    if kind is DistributionKind.SPARSE_TERNARY:
+        zeros = new[new == 0]
+        assert len(zeros) > 0 and not np.signbit(zeros).any()
 
 
 class TestColumnBlockOf:
