@@ -101,11 +101,7 @@ def dependent_rows(matrix: SensingMatrix, support: SupportSet, row: int) -> set:
     support.validate_against(matrix.N)
     if not 0 <= row < matrix.n:
         raise IndexError(f"row {row} out of range for {matrix.n} rows")
-    V = matrix.var_id[:, support.indices]
-    mine = V[row]
-    shared = (V[:, :, None] == mine[None, None, :]).any(axis=(1, 2))
-    shared[row] = False
-    return set(int(j) for j in np.nonzero(shared)[0])
+    return set(int(j) for j in np.nonzero(_adjacency(matrix, support)[row])[0])
 
 
 def dependency_bound_for(kind: MatrixKind, l: int, support_size: int) -> int:

@@ -53,7 +53,7 @@ class LinearOperator:
     "dense"); a structured operator falls back to "dense" when the spec
     kind has no fast path.  Maps accept 1-D vectors or 2-D (dim, batch)
     arrays and are pure, so one operator can be shared across threads.
-    ``columns`` is derived from the forward map; the dense operator reads
+    ``column`` is derived from the forward map; the dense operator reads
     it off its array instead.  The homotopy in ``basis_pursuit`` forms the
     Gram matrix of the active columns only, so no operator forms A A^T.
     """
@@ -76,31 +76,24 @@ class LinearOperator:
             raise ValueError(f"adjoint expects length {self.shape[0]}, got {y.shape[0]}")
         return self._adjoint(y)
 
-    def columns(self, idx) -> np.ndarray:
-        """The columns A[:, idx] as an (n, len(idx)) array, one unit-vector
-        forward each."""
-        n, N = self.shape
-        out = np.zeros((n, len(idx)))
-        for i, j in enumerate(idx):
-            e = np.zeros(N)
-            e[j] = 1.0
-            out[:, i] = self.forward(e)
-        return out
+    def column(self, j: int) -> np.ndarray:
+        """The column A[:, j]: the forward of the unit vector e_j."""
+        e = np.zeros(self.shape[1])
+        e[j] = 1.0
+        return self.forward(e)
 
 
 class _DenseOperator(LinearOperator):
-    """A held array: the columns come from it directly, with the same bits
-    as the generic unit-vector products."""
+    """A held array: a column is read off it directly, with the same bits
+    as the generic unit-vector product."""
 
     def __init__(self, entries: np.ndarray):
         super().__init__(entries.shape, forward=lambda x: entries @ x,
                          adjoint=lambda y: entries.T @ y, backend="dense")
         self.entries = entries
 
-    def columns(self, idx) -> np.ndarray:
-        # take, not entries[:, idx]: the slice is Fortran-ordered, and BLAS
-        # products with it differ in the last bit from the C-ordered stack
-        return self.entries.take(idx, axis=1)
+    def column(self, j: int) -> np.ndarray:
+        return self.entries[:, j]
 
 
 def dense_matvec(matrix, x) -> np.ndarray:

@@ -33,11 +33,12 @@ drawn right after block ``b - 1``'s, and an outer block's inner blocks
 follow one another the same way.
 
 The build never forms labels.  The pool, reshaped, is the distinct
-blocks; :func:`band_blocks` extends them to the length ``k + l - 1``
-band with ``band[k - 1 + i - j]`` the block at ``(i, j)``, and one
-strided copy of a sliding window over the band tiles the matrix.  An IID
-matrix is its pool reshaped.  :func:`label_grid` turns a spec into its
-``n x N`` label grid; only ``var_id`` uses it.
+blocks; :func:`band_blocks`, the one place that knows the block
+numbering, extends them to the length ``k + l - 1`` band with
+``band[k - 1 + i - j]`` the block at ``(i, j)``, and one strided copy of
+a sliding window over the band tiles the matrix.  An IID matrix is its
+pool reshaped.  :func:`label_grid`, which ``var_id`` reads, is the same
+layout applied to the label numbers ``0 .. distinct_label_count - 1``.
 """
 
 from __future__ import annotations
@@ -311,31 +312,13 @@ def circulant_circulant_block_spec(
 
 
 # ---------------------------------------------------------------------------
-# label grids
-
-
-def _block_id_grid(kind: MatrixKind, k: int, l: int) -> np.ndarray:
-    """Block number at each block position (l x k grid)."""
-    i = np.arange(l)[:, None]
-    j = np.arange(k)[None, :]
-    ids = (k - 1) + i - j
-    if kind is not MatrixKind.TOEPLITZ_BLOCK:
-        ids = ids % k
-    return ids
+# layout
 
 
 def _num_blocks(kind: MatrixKind, k: int, l: int) -> int:
     if kind is MatrixKind.TOEPLITZ_BLOCK:
         return k + l - 1
     return k
-
-
-def _tile_labels(bid: np.ndarray, inner: np.ndarray, inner_count: int) -> np.ndarray:
-    """Expand a block-id grid with per-block inner labels into a full grid."""
-    l, k = bid.shape
-    d, e = inner.shape
-    full = bid[:, None, :, None] * inner_count + inner[None, :, None, :]
-    return full.reshape(l * d, k * e)
 
 
 def _per_block(spec: BlockStructureSpec) -> int:
@@ -345,30 +328,9 @@ def _per_block(spec: BlockStructureSpec) -> int:
     return spec.nested.k * spec.nested.d * spec.nested.e
 
 
-def _inner_labels(spec: BlockStructureSpec) -> np.ndarray:
-    """Label grid of one block."""
-    if spec.nested is None:
-        return np.arange(spec.d * spec.e).reshape(spec.d, spec.e)
-    inner = spec.nested
-    leaf = np.arange(inner.d * inner.e).reshape(inner.d, inner.e)
-    bid = _block_id_grid(inner.kind, inner.k, inner.l)
-    return _tile_labels(bid, leaf, inner.d * inner.e)
-
-
-def label_grid(spec: BlockStructureSpec) -> np.ndarray:
-    """The n x N label grid: entry (i, j) copies pool value ``grid[i, j]``."""
-    bid = _block_id_grid(spec.kind, spec.k, spec.l)
-    grid = _tile_labels(bid, _inner_labels(spec), _per_block(spec))
-    return grid.astype(np.int64, copy=False)
-
-
 def distinct_label_count(spec: BlockStructureSpec) -> int:
     """Number of independent scalar random variables behind the matrix."""
     return _num_blocks(spec.kind, spec.k, spec.l) * _per_block(spec)
-
-
-# ---------------------------------------------------------------------------
-# building
 
 
 def band_blocks(blocks: np.ndarray, kind: MatrixKind, k: int, l: int) -> np.ndarray:
@@ -396,11 +358,36 @@ def _tile(band: np.ndarray, k: int) -> np.ndarray:
     return tiled.reshape(*lead, (length - k + 1) * d, k * e)
 
 
+def _arrange(spec: BlockStructureSpec, pool: np.ndarray) -> np.ndarray:
+    """The n x N layout of ``pool``, one value per label in label order
+    (flat, or already shaped into blocks): entry (i, j) is the pool value
+    of the label that entry copies."""
+    if spec.kind is MatrixKind.IID:
+        return pool.reshape(spec.shape)
+    if spec.nested is None:
+        blocks = pool.reshape(-1, spec.d, spec.e)
+    else:
+        # each outer block is the tiled band of its own inner blocks
+        inner = spec.nested
+        leaves = pool.reshape(-1, inner.k, inner.d, inner.e)
+        blocks = _tile(band_blocks(leaves, inner.kind, inner.k, inner.l), inner.k)
+    return _tile(band_blocks(blocks, spec.kind, spec.k, spec.l), spec.k)
+
+
+def label_grid(spec: BlockStructureSpec) -> np.ndarray:
+    """The n x N label grid: entry (i, j) copies pool value ``grid[i, j]``.
+    It is the build's layout applied to the label numbers."""
+    return _arrange(spec, np.arange(distinct_label_count(spec), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# building
+
+
 def from_blocks(spec: BlockStructureSpec, blocks: np.ndarray) -> SensingMatrix:
     """The matrix of ``spec`` whose distinct blocks, in block order, are
     ``blocks`` (num_blocks, d, e)."""
-    band = band_blocks(blocks, spec.kind, spec.k, spec.l)
-    return SensingMatrix(entries=_tile(band, spec.k), spec=spec)
+    return SensingMatrix(entries=_arrange(spec, blocks), spec=spec)
 
 
 def _sample_pool(spec: BlockStructureSpec) -> np.ndarray:
@@ -416,21 +403,12 @@ def build_structured(spec: BlockStructureSpec) -> SensingMatrix:
 
     The block layout follows the module-level conventions; blocks are
     fresh IID samples that share entries only through structural
-    repetition, which ``var_id`` records exactly.  The pool is tiled
+    repetition, which ``var_id`` records exactly.  The pool is laid out
     straight into the entries: no label is formed.
     """
     if spec.kind is MatrixKind.DETERMINISTIC:
         raise ValueError("deterministic matrices are built by structcs.devore")
-    pool = _sample_pool(spec)
-    if spec.kind is MatrixKind.IID:
-        return SensingMatrix(entries=pool.reshape(spec.shape), spec=spec)
-    if spec.nested is None:
-        return from_blocks(spec, pool.reshape(-1, spec.d, spec.e))
-    # each outer block is the tiled band of its own inner blocks
-    inner = spec.nested
-    leaves = pool.reshape(-1, inner.k, inner.d, inner.e)
-    blocks = _tile(band_blocks(leaves, inner.kind, inner.k, inner.l), inner.k)
-    return from_blocks(spec, blocks)
+    return SensingMatrix(entries=_arrange(spec, _sample_pool(spec)), spec=spec)
 
 
 def sample_iid(rows: int, cols: int, dist: EntryDistribution, seed: int) -> SensingMatrix:

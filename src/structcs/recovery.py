@@ -7,7 +7,7 @@ from lambda = ||A^T y||_inf, where it is 0, down to lambda = 0.  The
 path is piecewise linear in lambda and changes its active set I at one
 index per step.  The operator is applied to y once, at the start, and to
 each column once, when it joins I: the active columns A_I (from
-``LinearOperator.columns``) and their correlations A^T A_I are kept, and
+``LinearOperator.column``) and their correlations A^T A_I are kept, and
 a dropped index only shifts them.  Each step factors the Gram matrix
 A_I^T A_I afresh with LAPACK ``potrf``, solves for the point and the
 direction with ``potrs``, and reads every correlation off A^T A_I.  The
@@ -169,7 +169,7 @@ def basis_pursuit(
     def add(j: int, sign: float, step: int) -> None:
         # the one adjoint apply of a column, made when it joins I
         k = len(active)
-        A_I[:, k] = op.columns([j])[:, 0]
+        A_I[:, k] = op.column(j)
         AtA_I[:, k] = op.adjoint(A_I[:, k])
         _check_finite(AtA_I[:, k], step)
         active.append(j)
@@ -273,7 +273,7 @@ def omp(op, y, sparsity: int, tol: float = 1e-10) -> RecoveryResult:
         corr[support] = -1.0
         pick = int(np.argmax(corr))
         support.append(pick)
-        cols = np.column_stack([cols, op.columns([pick])])
+        cols = np.column_stack([cols, op.column(pick)])
         coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
         if rank < len(support):
             estimate = np.zeros(N)

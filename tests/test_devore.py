@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -192,6 +193,22 @@ class TestRipGuarantee:
         # Gershgorin: the spectral deviation is at most the worst row sum
         cert = verify_rip_guarantee(PolySpec(p=5, r=2, t=4, s=2, l=5), 3)
         assert cert.worst_eig_delta <= cert.worst_rowsum_delta + 1e-12
+
+    @pytest.mark.parametrize("spec,m", [
+        (PolySpec(p=5, r=2, t=4, s=2, l=5), 3),
+        (PolySpec(p=7, r=1, t=3, s=1, l=4), 4),
+    ])
+    def test_rowsum_delta_is_the_brute_force_maximum(self, spec, m):
+        # the largest off-diagonal row sum over every size-m support
+        M = build_devore_block(spec)
+        scale = spec.s * spec.p
+        raw = np.rint(M.entries * math.sqrt(scale)).astype(np.int64)
+        gram = raw.T @ raw
+        worst = max(int(gram[i, T].sum()) - scale
+                    for T in itertools.combinations(range(M.N), m) for i in T)
+        cert = verify_rip_guarantee(spec, m)
+        assert cert.worst_rowsum_delta == worst / scale
+        assert cert.passed
 
     def test_order_domain(self):
         with pytest.raises(ValueError):

@@ -198,28 +198,24 @@ class TestOperators:
 class TestColumns:
     def test_columns_are_slices_and_unit_forwards(self):
         A = np.random.default_rng(4).standard_normal((30, 90))
-        S = (7, 0, 88, 41)
         op = dense_operator(A)
-        unit = np.stack([op.forward(np.eye(90)[j]) for j in S], axis=1)
-        np.testing.assert_array_equal(op.columns(S), A[:, S])
-        np.testing.assert_array_equal(op.columns(S), unit)
-        # the stacked forwards' C order, which later BLAS products depend on
-        assert op.columns(S).flags.c_contiguous
-        assert op.columns(()).shape == (30, 0)
+        for j in (7, 0, 88, 41):
+            np.testing.assert_array_equal(op.column(j), A[:, j])
+            np.testing.assert_array_equal(op.column(j), op.forward(np.eye(90)[j]))
 
     def test_generic_operator_derives_columns_from_its_maps(self):
         A = np.random.default_rng(5).standard_normal((20, 60))
         plain = LinearOperator(A.shape, lambda x: A @ x, lambda y: A.T @ y)
         dense = dense_operator(A)
-        np.testing.assert_array_equal(plain.columns([3, 59, 3]), dense.columns([3, 59, 3]))
-        assert plain.columns([]).shape == (20, 0)
+        for j in (3, 59, 0):
+            np.testing.assert_array_equal(plain.column(j), dense.column(j))
 
     def test_fft_operator_columns_match_dense(self):
         M = build_structured(toeplitz_block_spec(8, 4, 3, 2, seed=9))
         op = structured_operator(M)
         assert op.backend == "fft"
-        np.testing.assert_allclose(op.columns([0, 5, 15]), M.entries[:, [0, 5, 15]],
-                                   atol=1e-12)
+        for j in (0, 5, 15):
+            np.testing.assert_allclose(op.column(j), M.entries[:, j], atol=1e-12)
 
 
 def test_speedup_reported_not_asserted(capsys):

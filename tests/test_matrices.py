@@ -285,11 +285,19 @@ class TestOneStream:
         M = build_structured(spec)
         assert M.entries.flags.c_contiguous
         assert M.entries.tobytes() == stream[M.var_id].tobytes()
-        if spec.kind is not MatrixKind.IID:
-            # block b holds labels b * per_block + the one-block label grid
-            inner = matrices._inner_labels(spec)
-            blocks = stream.reshape(-1, matrices._per_block(spec))[:, inner]
-            assert distinct_blocks(M).tobytes() == blocks.tobytes()
+        if spec.nested is not None:
+            return  # pinned by the var_id digests of test_build_golden
+        # the labels by index arithmetic: entry (i*d + a, j*e + b) holds
+        # label blk(i, j)*d*e + a*e + b, blk(i, j) = k - 1 + i - j, taken
+        # mod k for the circulant kinds; IID is the one-block case
+        k, l, d, e = spec.k, spec.l, spec.d, spec.e
+        labels = np.empty(spec.shape, dtype=np.int64)
+        for i, a, j, b in np.ndindex(l, d, k, e):
+            blk = k - 1 + i - j
+            if spec.kind is MatrixKind.CIRCULANT_BLOCK:
+                blk %= k
+            labels[i * d + a, j * e + b] = blk * d * e + a * e + b
+        np.testing.assert_array_equal(M.var_id, labels)
 
     @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind.value)
     def test_build_forms_no_label_grid(self, spec, monkeypatch):
