@@ -87,12 +87,14 @@ class DependencyReport:
                     raise ValueError(f"asymmetric dependency between rows {i} and {j}")
 
 
-def _adjacency(matrix: SensingMatrix, support: SupportSet) -> np.ndarray:
-    """Boolean n x n matrix: rows sharing at least one variable over T."""
+def _adjacency(matrix: SensingMatrix, support: SupportSet, rows=None) -> np.ndarray:
+    """Boolean len(rows) x n matrix: entry (a, j) says rows ``rows[a]`` and
+    ``j`` share at least one variable over T; a row is not its own
+    neighbour.  ``rows`` defaults to every row, giving the n x n matrix."""
     V = matrix.var_id[:, support.indices]
-    eq = V[:, None, :, None] == V[None, :, None, :]
-    adj = eq.any(axis=(2, 3))
-    np.fill_diagonal(adj, False)
+    rows = np.arange(matrix.n) if rows is None else np.asarray(rows)
+    adj = (V[rows][:, None, :, None] == V[None, :, None, :]).any(axis=(2, 3))
+    adj[np.arange(len(rows)), rows] = False
     return adj
 
 
@@ -101,7 +103,7 @@ def dependent_rows(matrix: SensingMatrix, support: SupportSet, row: int) -> set:
     support.validate_against(matrix.N)
     if not 0 <= row < matrix.n:
         raise IndexError(f"row {row} out of range for {matrix.n} rows")
-    return set(int(j) for j in np.nonzero(_adjacency(matrix, support)[row])[0])
+    return set(int(j) for j in np.nonzero(_adjacency(matrix, support, [row])[0])[0])
 
 
 def dependency_bound_for(kind: MatrixKind, l: int, support_size: int) -> int:

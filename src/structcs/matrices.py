@@ -358,10 +358,15 @@ def _tile(band: np.ndarray, k: int) -> np.ndarray:
     return tiled.reshape(*lead, (length - k + 1) * d, k * e)
 
 
+def _tile_blocks(blocks: np.ndarray, kind: MatrixKind, k: int, l: int) -> np.ndarray:
+    """The grid of ``l`` block rows by ``k`` block columns whose distinct
+    blocks, in block order, are ``blocks`` (..., num_blocks, d, e)."""
+    return _tile(band_blocks(blocks, kind, k, l), k)
+
+
 def _arrange(spec: BlockStructureSpec, pool: np.ndarray) -> np.ndarray:
-    """The n x N layout of ``pool``, one value per label in label order
-    (flat, or already shaped into blocks): entry (i, j) is the pool value
-    of the label that entry copies."""
+    """The n x N layout of ``pool``, one value per label in label order:
+    entry (i, j) is the pool value of the label that entry copies."""
     if spec.kind is MatrixKind.IID:
         return pool.reshape(spec.shape)
     if spec.nested is None:
@@ -370,8 +375,8 @@ def _arrange(spec: BlockStructureSpec, pool: np.ndarray) -> np.ndarray:
         # each outer block is the tiled band of its own inner blocks
         inner = spec.nested
         leaves = pool.reshape(-1, inner.k, inner.d, inner.e)
-        blocks = _tile(band_blocks(leaves, inner.kind, inner.k, inner.l), inner.k)
-    return _tile(band_blocks(blocks, spec.kind, spec.k, spec.l), spec.k)
+        blocks = _tile_blocks(leaves, inner.kind, inner.k, inner.l)
+    return _tile_blocks(blocks, spec.kind, spec.k, spec.l)
 
 
 def label_grid(spec: BlockStructureSpec) -> np.ndarray:
@@ -386,8 +391,12 @@ def label_grid(spec: BlockStructureSpec) -> np.ndarray:
 
 def from_blocks(spec: BlockStructureSpec, blocks: np.ndarray) -> SensingMatrix:
     """The matrix of ``spec`` whose distinct blocks, in block order, are
-    ``blocks`` (num_blocks, d, e)."""
-    return SensingMatrix(entries=_arrange(spec, blocks), spec=spec)
+    ``blocks`` (num_blocks, d, e); a nested spec's blocks are its outer
+    blocks, each already holding its inner structure."""
+    want = (_num_blocks(spec.kind, spec.k, spec.l), spec.d, spec.e)
+    if np.shape(blocks) != want:
+        raise ValueError(f"blocks of shape {np.shape(blocks)} do not fit {want} for this spec")
+    return SensingMatrix(entries=_tile_blocks(blocks, spec.kind, spec.k, spec.l), spec=spec)
 
 
 def _sample_pool(spec: BlockStructureSpec) -> np.ndarray:

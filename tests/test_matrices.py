@@ -22,6 +22,7 @@ from structcs.matrices import (
     column_block_of,
     distinct_blocks,
     distinct_label_count,
+    from_blocks,
     iid_spec,
     label_grid,
     sample_iid,
@@ -254,6 +255,22 @@ EVERY_KIND = [
 ]
 
 
+def _labels_by_index(kind, k, l, inner):
+    """The label grid of ``l`` block rows by ``k`` block columns, each block
+    labelled like ``inner`` (labels 0 .. per - 1, per = inner.max() + 1):
+    entry (i*d + a, j*e + b) holds label blk(i, j)*per + inner[a, b], with
+    blk(i, j) = k - 1 + i - j, taken mod k unless the grid is Toeplitz."""
+    d, e = inner.shape
+    per = inner.max() + 1
+    grid = np.empty((l * d, k * e), dtype=np.int64)
+    for i, j in np.ndindex(l, k):
+        blk = k - 1 + i - j
+        if kind is not MatrixKind.TOEPLITZ_BLOCK:
+            blk %= k
+        grid[i * d:(i + 1) * d, j * e:(j + 1) * e] = blk * per + inner
+    return grid
+
+
 class TestOneStream:
     @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind.value)
     def test_build_makes_one_generator(self, spec, monkeypatch):
@@ -285,19 +302,27 @@ class TestOneStream:
         M = build_structured(spec)
         assert M.entries.flags.c_contiguous
         assert M.entries.tobytes() == stream[M.var_id].tobytes()
-        if spec.nested is not None:
-            return  # pinned by the var_id digests of test_build_golden
-        # the labels by index arithmetic: entry (i*d + a, j*e + b) holds
-        # label blk(i, j)*d*e + a*e + b, blk(i, j) = k - 1 + i - j, taken
-        # mod k for the circulant kinds; IID is the one-block case
-        k, l, d, e = spec.k, spec.l, spec.d, spec.e
-        labels = np.empty(spec.shape, dtype=np.int64)
-        for i, a, j, b in np.ndindex(l, d, k, e):
-            blk = k - 1 + i - j
-            if spec.kind is MatrixKind.CIRCULANT_BLOCK:
-                blk %= k
-            labels[i * d + a, j * e + b] = blk * d * e + a * e + b
-        np.testing.assert_array_equal(M.var_id, labels)
+        # the labels by index arithmetic, written here apart from the tiler
+        if spec.nested is None:
+            inner = np.arange(spec.d * spec.e).reshape(spec.d, spec.e)
+        else:
+            nest = spec.nested
+            leaf = np.arange(nest.d * nest.e).reshape(nest.d, nest.e)
+            inner = _labels_by_index(nest.kind, nest.k, nest.l, leaf)
+        np.testing.assert_array_equal(M.var_id,
+                                      _labels_by_index(spec.kind, spec.k, spec.l, inner))
+        if spec.kind is not MatrixKind.IID:
+            # block b holds labels b * per_block + the one-block label grid
+            blocks = stream.reshape(-1, inner.max() + 1)[:, inner]
+            assert distinct_blocks(M).tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("spec", EVERY_KIND[1:], ids=lambda spec: spec.kind.value)
+    def test_from_blocks_rebuilds_the_matrix(self, spec):
+        M = build_structured(spec)
+        again = from_blocks(spec, distinct_blocks(M))
+        assert again.entries.tobytes() == M.entries.tobytes()
+        with pytest.raises(ValueError, match="do not fit"):
+            from_blocks(spec, distinct_blocks(M)[:-1])
 
     @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind.value)
     def test_build_forms_no_label_grid(self, spec, monkeypatch):
