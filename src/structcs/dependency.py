@@ -3,13 +3,18 @@
 Restricting a block-structured matrix to a column support T couples
 rows that draw on a shared scalar variable.  Everything here is
 computed from construction provenance (``var_id``), never from value
-equality.  The module verifies the combinatorial bounds on the number
-of coupled rows and produces checked equitable colorings of the
-dependency graph (independent classes of near-equal size).
+equality.  One grouping pass over ``var_id[:, T]`` maps each label to
+the rows that hold it and so gives every row its set of neighbours, in
+O(n|T|) time and memory plus the size of those sets; the reports and
+the colorings read these sets, and :func:`dependent_rows` looks up the
+labels of its one row.  The module verifies the combinatorial bounds
+on the number of coupled rows and produces checked equitable colorings
+of the dependency graph (independent classes of near-equal size).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,15 +92,31 @@ class DependencyReport:
                     raise ValueError(f"asymmetric dependency between rows {i} and {j}")
 
 
-def _adjacency(matrix: SensingMatrix, support: SupportSet, rows=None) -> np.ndarray:
-    """Boolean len(rows) x n matrix: entry (a, j) says rows ``rows[a]`` and
-    ``j`` share at least one variable over T; a row is not its own
-    neighbour.  ``rows`` defaults to every row, giving the n x n matrix."""
-    V = matrix.var_id[:, support.indices]
-    rows = np.arange(matrix.n) if rows is None else np.asarray(rows)
-    adj = (V[rows][:, None, :, None] == V[None, :, None, :]).any(axis=(2, 3))
-    adj[np.arange(len(rows)), rows] = False
-    return adj
+def _neighbors(matrix: SensingMatrix, support: SupportSet) -> list:
+    """Per row, the frozenset of other rows that share at least one
+    variable with it over T.
+
+    One pass groups the rows by label: ``holders[x]`` lists the rows
+    whose entries over T copy variable ``x``.  Only a label held by two
+    or more rows links rows, and a row's neighbours are the union of its
+    shared labels' holders.  Time and memory are O(n|T|) for the grouping
+    plus the size of the sets returned.
+    """
+    labels = matrix.var_id[:, support.indices].tolist()
+    holders = {}
+    for i, row_labels in enumerate(labels):
+        for x in row_labels:
+            holders.setdefault(x, []).append(i)
+    linked = {}
+    for rows in holders.values():
+        if len(rows) > 1:
+            for i in rows:
+                linked.setdefault(i, set()).update(rows)
+    neighbors = [frozenset()] * len(labels)
+    for i, others in linked.items():
+        others.discard(i)
+        neighbors[i] = frozenset(others)
+    return neighbors
 
 
 def dependent_rows(matrix: SensingMatrix, support: SupportSet, row: int) -> set:
@@ -103,7 +124,11 @@ def dependent_rows(matrix: SensingMatrix, support: SupportSet, row: int) -> set:
     support.validate_against(matrix.N)
     if not 0 <= row < matrix.n:
         raise IndexError(f"row {row} out of range for {matrix.n} rows")
-    return set(int(j) for j in np.nonzero(_adjacency(matrix, support, [row])[0])[0])
+    # look this row's labels up in every row; no per-row sets are built
+    V = matrix.var_id[:, support.indices]
+    shares = np.isin(V, V[row]).any(axis=1)
+    shares[row] = False
+    return set(np.flatnonzero(shares).tolist())
 
 
 def dependency_bound_for(kind: MatrixKind, l: int, support_size: int) -> int:
@@ -125,10 +150,8 @@ def dependency_bound_for(kind: MatrixKind, l: int, support_size: int) -> int:
 def dependency_report(matrix: SensingMatrix, support: SupportSet) -> DependencyReport:
     """Exact per-row dependency sets plus the applicable bound."""
     support.validate_against(matrix.N)
-    adj = _adjacency(matrix, support)
-    per_row = tuple(frozenset(int(j) for j in np.nonzero(adj[i])[0])
-                    for i in range(matrix.n))
-    max_size = int(adj.sum(axis=1).max()) if matrix.n else 0
+    per_row = tuple(_neighbors(matrix, support))
+    max_size = max(map(len, per_row), default=0)
     bound = dependency_bound_for(matrix.spec.kind, matrix.spec.l, support.size)
     return DependencyReport(
         support=support,
@@ -222,7 +245,7 @@ def _validate_partition(neighbors, classes, q, n) -> None:
             )
         cset = set(cls)
         for v in cls:
-            if neighbors[v] & cset:
+            if not neighbors[v].isdisjoint(cset):
                 raise ColoringFailureError(f"vertex {v} has a neighbor in its class")
 
 
@@ -243,24 +266,33 @@ def equitable_color_graph(neighbors: list, q: int) -> ColoringPartition:
     if q < 1:
         raise ValueError("q must be >= 1")
     color = [-1] * n
+    # classes in (load, index) order: the first one that holds no
+    # neighbour is the least-loaded admissible class, lowest index on ties
+    queue = [(0, c) for c in range(q)]
+
+    # highest-degree-first greedy (a stable sort, so equal degrees keep
+    # vertex order); a max degree below q guarantees an admissible class,
+    # otherwise greedy may get stuck
+    degree = [len(nbrs) for nbrs in neighbors]
+    for v in sorted(range(n), key=degree.__getitem__, reverse=True):
+        taken = {color[u] for u in neighbors[v]}
+        for pos, (size, c) in enumerate(queue):
+            if c not in taken:
+                break
+        else:
+            raise ColoringFailureError(
+                f"no admissible class for vertex {v} with {degree[v]} "
+                f"neighbors and q={q}"
+            )
+        del queue[pos]
+        insort(queue, (size + 1, c))
+        color[v] = c
     members = [set() for _ in range(q)]
+    for v, c in enumerate(color):
+        members[c].add(v)
 
     def admissible(v, c):
         return all(color[u] != c for u in neighbors[v])
-
-    # highest-degree-first greedy, least-loaded admissible class; a max
-    # degree below q guarantees options, otherwise greedy may get stuck
-    order = sorted(range(n), key=lambda v: -len(neighbors[v]))
-    for v in order:
-        options = [c for c in range(q) if admissible(v, c)]
-        if not options:
-            raise ColoringFailureError(
-                f"no admissible class for vertex {v} with {len(neighbors[v])} "
-                f"neighbors and q={q}"
-            )
-        c = min(options, key=lambda c: (len(members[c]), c))
-        color[v] = c
-        members[c].add(v)
 
     def move(v, dst):
         members[color[v]].discard(v)
@@ -315,7 +347,5 @@ def equitable_coloring(matrix: SensingMatrix, support: SupportSet) -> ColoringPa
     The returned partition is always validated.
     """
     support.validate_against(matrix.N)
-    adj = _adjacency(matrix, support)
-    neighbors = [set(np.nonzero(adj[i])[0].tolist()) for i in range(matrix.n)]
     q = support.size * (support.size - 1) + 1
-    return equitable_color_graph(neighbors, q)
+    return equitable_color_graph(_neighbors(matrix, support), q)

@@ -1,4 +1,8 @@
+import hashlib
 import itertools
+import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +23,11 @@ from structcs.dependency import (
 from structcs.matrices import (
     build_structured,
     circulant_block_spec,
+    circulant_circulant_block_spec,
     circulant_circulant_spec,
     iid_spec,
     toeplitz_block_spec,
+    truncate_rows,
 )
 
 
@@ -37,6 +43,27 @@ def naive_dependent_rows(matrix, support, i):
         if mine & theirs:
             out.add(j)
     return out
+
+
+KINDS = ("iid", "toeplitz-block", "circulant-block",
+         "circulant-circulant", "circulant-circulant-block")
+
+
+def random_spec(rng, kind, seed):
+    """A small spec of ``kind`` with dimensions drawn from ``rng``."""
+    def draw(hi):
+        return int(rng.integers(1, hi + 1))
+
+    if kind == "iid":
+        return iid_spec(draw(8), draw(10), seed=seed)
+    if kind == "toeplitz-block":
+        return toeplitz_block_spec(draw(5), draw(5), draw(3), draw(3), seed=seed)
+    if kind == "circulant-block":
+        return circulant_block_spec(draw(5), draw(5), draw(3), draw(3), seed=seed)
+    if kind == "circulant-circulant":
+        return circulant_circulant_spec(draw(4), draw(4), draw(4), draw(4), seed=seed)
+    return circulant_circulant_block_spec(draw(3), draw(3), draw(3), draw(3),
+                                          draw(2), draw(2), seed=seed)
 
 
 class TestSupportSet:
@@ -74,17 +101,20 @@ class TestDependentRows:
             assert dependent_rows(M, T, i) == set()
 
     def test_matches_naive_oracle_on_random_specs(self):
+        # every kind, some cut by truncate_rows, supports of up to 8 columns
         rng = np.random.default_rng(31)
-        for trial in range(40):
-            kind = rng.choice(["t", "c"])
-            k, l = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            d, e = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            build = toeplitz_block_spec if kind == "t" else circulant_block_spec
-            M = build_structured(build(k, l, d, e, seed=trial))
-            size = int(rng.integers(1, min(4, M.N) + 1))
+        for trial in range(60):
+            M = build_structured(random_spec(rng, KINDS[trial % len(KINDS)], trial))
+            if rng.random() < 0.4:
+                M = truncate_rows(M, int(rng.integers(1, M.n + 1)))
+            size = int(rng.integers(1, min(8, M.N) + 1))
             T = SupportSet(tuple(sorted(rng.choice(M.N, size, replace=False).tolist())))
+            expected = [naive_dependent_rows(M, T, i) for i in range(M.n)]
+            rep = dependency_report(M, T)
+            assert rep.per_row == tuple(frozenset(s) for s in expected)
+            assert rep.max_size == max(len(s) for s in expected)
             for i in range(M.n):
-                assert dependent_rows(M, T, i) == naive_dependent_rows(M, T, i)
+                assert dependent_rows(M, T, i) == expected[i]
 
     def test_row_out_of_range(self):
         M = build_structured(iid_spec(3, 3, seed=0))
@@ -109,6 +139,20 @@ class TestDependencyReport:
                 assert i not in deps
                 for j in deps:
                     assert i in rep.per_row[j]
+
+    def test_1000_row_report_peaks_below_20_mb(self):
+        # the label grouping keeps memory near n|T|; an n x n x |T| x |T|
+        # comparison would need about 400 MB here
+        M = build_structured(toeplitz_block_spec(100, 250, 4, 4, seed=0))
+        T = SupportSet(tuple(np.random.default_rng(5).choice(M.N, 20, replace=False).tolist()))
+        tracemalloc.start()
+        try:
+            rep = dependency_report(M, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.n == 1000 and rep.passed
+        assert peak < 20 * 2**20
 
 
 class TestToeplitzBound:
@@ -181,7 +225,62 @@ class TestDoublyCirculantDependency:
             assert rep.max_size <= size * (size - 1)
 
 
+def graph_from_edges(n, edges):
+    neighbors = [set() for _ in range(n)]
+    for i, j in edges:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    return neighbors
+
+
+def seeded_graph(n, p, seed):
+    """G(n, p): each pair i < j, in order, is an edge with probability p."""
+    rng = random.Random(seed)
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+
+
+# Classes pinned so that the greedy's choices cannot drift: degree-
+# descending order, the least-loaded admissible class with the lowest
+# index on ties, then the balancing moves in order.  The first graph
+# needs one single move, the second a two-step shuffle, the third both,
+# and the fourth (q above its maximum degree) none.
+GOLDEN_COLORINGS = [
+    (graph_from_edges(6, [(0, 5), (1, 3), (1, 4), (2, 3)]), 3,
+     ((2, 5), (3, 4), (0, 1))),
+    (graph_from_edges(8, [(0, 4), (0, 5), (0, 7), (1, 2), (1, 5), (2, 6), (3, 5),
+                          (3, 7), (4, 5), (6, 7)]), 3,
+     ((2, 5, 7), (0, 3, 6), (1, 4))),
+    (seeded_graph(24, 0.15, 26), 4,
+     ((4, 8, 10, 14, 17, 23), (1, 12, 16, 18, 19, 21), (0, 2, 3, 6, 11, 22),
+      (5, 7, 9, 13, 15, 20))),
+    (seeded_graph(60, 0.08, 0), 13,
+     ((11, 27, 29, 30, 52), (3, 9, 31, 35, 51), (8, 12, 15, 38, 41), (0, 22, 32, 48, 57),
+      (24, 33, 36, 47, 59), (2, 4, 37, 39, 44), (5, 17, 42, 55), (6, 34, 45, 54, 56),
+      (1, 10, 13, 21, 53), (7, 16, 19, 43), (14, 18, 40, 46), (20, 23, 25, 49),
+      (26, 28, 50, 58))),
+]
+
+
 class TestEquitableColoring:
+    @pytest.mark.parametrize("neighbors, q, classes", GOLDEN_COLORINGS,
+                             ids=["single-move", "shuffle", "both", "no-move"])
+    def test_golden_classes(self, neighbors, q, classes):
+        assert equitable_color_graph(neighbors, q).classes == classes
+
+    def test_certificates_colorings_digest(self):
+        # every support of size 1..3 of the two dependency grids of the
+        # certificates benchmark workload at seed 1
+        parts = []
+        for build in (toeplitz_block_spec, circulant_block_spec):
+            M = build_structured(build(8, 6, 3, 2, "bernoulli", seed=1))
+            for size in (1, 2, 3):
+                for T in itertools.combinations(range(M.N), size):
+                    parts.append(equitable_coloring(M, SupportSet(T)).classes)
+        assert len(parts) == 1392
+        digest = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+        assert digest == "6610ebf3a6c8b9b2ff4c8f08f5507107acd08bd3b79f9b918c78d54b7f2e9787"
+
     def test_edgeless_graph_three_classes(self):
         part = equitable_color_graph([set() for _ in range(10)], 3)
         assert sorted(part.sizes()) == [3, 3, 4]
