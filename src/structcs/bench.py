@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fastops import dense_operator
+from .fastops import dense_operator, structured_operator
 from .matrices import (
     BlockStructureSpec,
     DistributionKind,
@@ -264,13 +264,27 @@ def _one_blas_thread():
             lib.set_threads(threads)
 
 
+# the size, in matrix entries n*N, from which a trial decodes through the FFT
+# operator.  Per decode on one thread (2-core x86_64, numpy 2.4.6), toeplitz
+# and toeplitz-block: at N=2048, n=100 (204,800 entries) the two tie (52.1
+# and 49.2 ms dense, 52.3 and 55.8 ms FFT); at n=160 (327,680) the FFT wins
+# (12.1 and 17.0 ms dense, 8.3 and 11.8 ms FFT); at the desk preset's
+# largest, N=512, n=256 (131,072), dense wins (1.02 and 1.04 ms dense, 1.11
+# and 1.27 ms FFT)
+FFT_MIN_ENTRIES = 2**18
+
+
 def run_trial(config: ExperimentConfig, kind: str, n: int, trial_index: int) -> bool:
     """One seeded build-measure-decode round; True on exact recovery.
 
     The signal seed omits the kind so all kinds share signals at a
-    fixed (n, trial); the matrix seed includes it.  A solver failure
-    (LinAlgError or ValueError) counts as a non-success and logs one
-    WARNING.  The trial runs on one BLAS thread.
+    fixed (n, trial); the matrix seed includes it.  The dense matrix is
+    always built.  A matrix of at least ``FFT_MIN_ENTRIES`` entries is
+    measured and decoded through ``structured_operator``, which is FFT
+    backed for the block-convolution kinds and dense for IID; a smaller
+    one through ``dense_operator``.  A solver failure (LinAlgError or
+    ValueError) counts as a non-success and logs one WARNING.  The trial
+    runs on one BLAS thread, and numpy's FFT runs on one thread too.
     """
     with _one_blas_thread():
         signal_seed = _derive_seed(config.master_seed, "signal", n, trial_index)
@@ -278,7 +292,8 @@ def run_trial(config: ExperimentConfig, kind: str, n: int, trial_index: int) -> 
         matrix_seed = _derive_seed(config.master_seed, "matrix", kind, n, trial_index)
         spec = spec_template(kind, config.N, config.m, config.distribution, n, matrix_seed)
         matrix = build_structured(spec)
-        op = dense_operator(matrix)
+        op = (structured_operator(matrix) if matrix.entries.size >= FFT_MIN_ENTRIES
+              else dense_operator(matrix))
         y = op.forward(signal.to_dense())
         try:
             if config.solver == "bp":
@@ -357,10 +372,11 @@ class SuccessCurve:
         Path(path).write_text(self.to_csv_text())
 
 
-# names the code behind a cached cell: the decoder and the matrix sampler.
-# A change to what the decoders return or to the values a spec samples must
-# change it, so that a cache of the old results is not read
-RESULTS_VERSION = "lasso-homotopy-2+one-stream-pool-1"
+# names the code behind a cached cell: the decoder, the matrix sampler and
+# the operator that decodes.  A change to what the decoders return, to the
+# values a spec samples or to the products a decode reads must change it,
+# so that a cache of the old results is not read
+RESULTS_VERSION = "lasso-homotopy-2+one-stream-pool-1+fft-adjoint-1"
 
 
 def _cell_key(config: ExperimentConfig, kind: str, n: int) -> str:

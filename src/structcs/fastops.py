@@ -3,14 +3,18 @@
 A block grid is fixed by its band: ``matrices.band_blocks`` extends the
 distinct blocks to the length ``k + l - 1`` band, the same band the
 build tiles into the dense entries.  A matrix-vector product is then a
-block convolution: embed the band in a circulant sequence of power-of-two
-length >= k + l - 1, FFT along the block axis, multiply blockwise in the
-frequency domain, and invert.  ``dense_matvec`` is the exact oracle the
-fast path is tested against.
+block convolution: embed the band in a circulant sequence of length
+L >= k + l - 1, FFT along the block axis, multiply blockwise in the
+frequency domain, and invert.  The adjoint is the correlation with the
+same sequence, so it multiplies by the conjugate transposed spectrum.
+``structured_operator`` transforms the band once, when it is made, and
+reads a column straight off the band.  ``dense_matvec`` is the exact
+oracle the fast path is tested against.
 
-``structured_operator`` is library-only: the CLI and the bench decode
-with ``dense_operator``, which is also what ``basis_pursuit`` and
-``omp`` wrap a plain array in.
+The bench decodes a trial through ``structured_operator`` once its
+matrix reaches ``bench.FFT_MIN_ENTRIES`` entries, and through
+``dense_operator`` below that.  The CLI decodes with ``dense_operator``,
+which is also what ``basis_pursuit`` and ``omp`` wrap a plain array in.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ class LinearOperator:
     "dense"); a structured operator falls back to "dense" when the spec
     kind has no fast path.  Maps accept 1-D vectors or 2-D (dim, batch)
     arrays and are pure, so one operator can be shared across threads.
-    ``column`` is derived from the forward map; the dense operator reads
-    it off its array instead.  The homotopy in ``basis_pursuit`` forms the
-    Gram matrix of the active columns only, so no operator forms A A^T.
+    ``column`` is derived from the forward map; the dense and FFT
+    operators read it off their array and band instead.  The homotopy in
+    ``basis_pursuit`` forms the Gram matrix of the active columns only, so
+    no operator forms A A^T.
     """
 
     def __init__(self, shape, forward, adjoint, backend="dense"):
@@ -107,70 +112,92 @@ def dense_matvec(matrix, x) -> np.ndarray:
     return entries @ x
 
 
-def _next_pow2(x: int) -> int:
-    return 1 << (x - 1).bit_length()
+def _fft_len(x: int) -> int:
+    """The least 2^a 3^b 5^c >= x: a length numpy's FFT transforms fast."""
+    while True:
+        rest = x
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return x
+        x += 1
 
 
-def _band_fft_matvec(band, k, l, d, e, x):
-    """y[i] = sum_j band[i - j + k - 1] @ x[j], block rows i < l, cols j < k.
+def _circular_apply(spectrum, x, length, blocks_out):
+    """The first ``blocks_out`` blocks of the circular convolution, over
+    ``length``, of a block sequence with the blocks of ``x``.
 
-    ``band`` has shape (k + l - 1, d, e), indexed by band offset plus
-    k - 1.  The band is embedded in a circulant sequence of length
-    L = next power of two >= k + l - 1, which leaves the first l output
-    blocks free of wraparound.
+    ``spectrum`` (length // 2 + 1, p, q) is the sequence's rfft; ``x`` is
+    a vector or a (dim, batch) array whose rows are blocks of q, padded
+    with zeros to ``length`` blocks.
     """
-    L = _next_pow2(k + l - 1)
-    c = np.zeros((L, d, e))
-    c[:l] = band[k - 1 :]
-    if k > 1:
-        c[L - k + 1 :] = band[: k - 1]
-    squeeze = x.ndim == 1
-    xb = x.reshape(k, e) if squeeze else x.reshape(k, e, -1)
-    pad_shape = (L,) + xb.shape[1:]
-    xp = np.zeros(pad_shape)
-    xp[:k] = xb
-    chat = np.fft.rfft(c, axis=0)
-    xhat = np.fft.rfft(xp, axis=0)
-    if squeeze:
-        yhat = np.einsum("tde,te->td", chat, xhat)
-    else:
-        yhat = np.einsum("tde,teb->tdb", chat, xhat)
-    y = np.fft.irfft(yhat, n=L, axis=0)[:l]
-    return y.reshape(l * d) if squeeze else y.reshape(l * d, -1)
+    q = spectrum.shape[2]
+    xb = x.reshape(x.shape[0] // q, q, -1)
+    zhat = spectrum @ np.fft.rfft(xb, n=length, axis=0)
+    z = np.fft.irfft(zhat, n=length, axis=0)[:blocks_out]
+    return z.reshape(blocks_out * spectrum.shape[1], *x.shape[1:])
 
 
-def _check_fast_kind(spec: BlockStructureSpec) -> None:
-    if spec.kind not in FAST_KINDS:
-        raise UnsupportedStructureError(
-            f"no fast path for kind {spec.kind.value}; use the dense fallback"
+class _BandOperator(LinearOperator):
+    """The block convolution of a grid's band, transformed once.
+
+    ``y[i] = sum_j band[k - 1 + i - j] @ x[j]`` over block rows i < l and
+    block columns j < k.  The band is embedded in a circulant sequence c
+    of length L >= k + l - 1, ``c[t] = band[k - 1 + t]`` for t < l and
+    ``c[L - s] = band[k - 1 - s]`` for 0 < s < k, which leaves the first
+    l output blocks free of wraparound.  The forward multiplies by the
+    rfft of c; the adjoint, ``x[j] = sum_i c[i - j]^T y[i]``, by its
+    conjugate transpose, so both read the one spectrum made here.
+    """
+
+    def __init__(self, spec: BlockStructureSpec, blocks: np.ndarray):
+        if spec.kind not in FAST_KINDS:
+            raise UnsupportedStructureError(
+                f"no fast path for kind {spec.kind.value}; use the dense fallback"
+            )
+        k, l, d, e = spec.k, spec.l, spec.d, spec.e
+        band = band_blocks(np.asarray(blocks, dtype=float), spec.kind, k, l)
+        L = _fft_len(k + l - 1)
+        c = np.zeros((L, d, e))
+        c[:l] = band[k - 1:]
+        c[L - k + 1:] = band[:k - 1]
+        spectrum = np.fft.rfft(c, axis=0)
+        spectrum_h = np.ascontiguousarray(spectrum.conj().transpose(0, 2, 1))
+        super().__init__(
+            spec.shape,
+            forward=lambda x: _circular_apply(spectrum, x, L, l),
+            adjoint=lambda y: _circular_apply(spectrum_h, y, L, k),
+            backend="fft",
         )
+        self._band = band
+        self._grid = (k, l, d, e)
+
+    def column(self, j: int) -> np.ndarray:
+        """A[:, j] read off the band: block column j // e, entry j % e of
+        the band's blocks at offsets k - 1 - j // e onwards."""
+        k, l, d, e = self._grid
+        if not 0 <= j < k * e:
+            raise IndexError(f"column {j} out of range for N={k * e}")
+        jb, c = divmod(j, e)
+        return self._band[k - 1 - jb:k - 1 - jb + l, :, c].reshape(l * d)
 
 
 def fast_matvec(spec: BlockStructureSpec, blocks: np.ndarray, x) -> np.ndarray:
     """FFT product of a structured matrix with x, given its distinct blocks.
 
     ``blocks`` has shape (num_blocks, d, e) in block order (see
-    ``distinct_blocks``).  Matches the dense product to ~1e-13 relative
-    at desk sizes, tested against 1e-10.
+    ``distinct_blocks``).  One forward of the operator
+    ``structured_operator`` makes, so it transforms the band for this
+    call alone.  Matches the dense product to ~1e-15 relative, tested
+    against 1e-10.
     """
-    _check_fast_kind(spec)
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != spec.N:
-        raise ValueError(f"x has length {x.shape[0]}, expected {spec.N}")
-    band = band_blocks(np.asarray(blocks), spec.kind, spec.k, spec.l)
-    return _band_fft_matvec(band, spec.k, spec.l, spec.d, spec.e, x)
+    return _BandOperator(spec, blocks).forward(x)
 
 
 def fast_adjoint_matvec(spec: BlockStructureSpec, blocks: np.ndarray, y) -> np.ndarray:
     """Adjoint of :func:`fast_matvec`: the transposed band convolution."""
-    _check_fast_kind(spec)
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != spec.n:
-        raise ValueError(f"y has length {y.shape[0]}, expected {spec.n}")
-    # the transpose is the reversed band of transposed blocks
-    band = band_blocks(np.asarray(blocks), spec.kind, spec.k, spec.l)
-    band_t = band[::-1].transpose(0, 2, 1)
-    return _band_fft_matvec(band_t, spec.l, spec.k, spec.e, spec.d, y)
+    return _BandOperator(spec, blocks).adjoint(y)
 
 
 def dense_operator(matrix) -> LinearOperator:
@@ -184,15 +211,10 @@ def structured_operator(matrix: SensingMatrix) -> LinearOperator:
 
     Kinds without a fast path (IID, doubly-nested blocks, deterministic,
     truncated matrices) get the dense fallback; ``backend`` reports
-    which path was taken.
+    which path was taken.  The FFT operator transforms the band here,
+    once, and each apply reuses it.
     """
     spec = matrix.spec
     if spec.kind not in FAST_KINDS or matrix.is_truncated:
         return dense_operator(matrix)
-    blocks = distinct_blocks(matrix)
-    return LinearOperator(
-        matrix.shape,
-        forward=lambda x: fast_matvec(spec, blocks, x),
-        adjoint=lambda y: fast_adjoint_matvec(spec, blocks, y),
-        backend="fft",
-    )
+    return _BandOperator(spec, distinct_blocks(matrix))

@@ -67,6 +67,62 @@ toeplitz-block,256,2,2,1.000000,0.342380,1.000000
 """
 
 
+# success_curve(full_preset(master_seed=2, trials=2), threads=1).to_csv_text(),
+# read when every trial decoded through the dense array: the FFT decode of
+# the larger structured cells must not move a verdict
+FULL_SEED2_TRIALS2_CSV = """\
+kind,n,successes,trials,fraction,ci_lo,ci_hi
+iid,100,1,2,0.500000,0.094531,0.905469
+iid,160,2,2,1.000000,0.342380,1.000000
+iid,220,2,2,1.000000,0.342380,1.000000
+iid,280,2,2,1.000000,0.342380,1.000000
+iid,340,2,2,1.000000,0.342380,1.000000
+iid,400,2,2,1.000000,0.342380,1.000000
+iid,460,2,2,1.000000,0.342380,1.000000
+iid,520,2,2,1.000000,0.342380,1.000000
+iid,580,2,2,1.000000,0.342380,1.000000
+iid,640,2,2,1.000000,0.342380,1.000000
+iid,700,2,2,1.000000,0.342380,1.000000
+iid,760,2,2,1.000000,0.342380,1.000000
+iid,820,2,2,1.000000,0.342380,1.000000
+iid,880,2,2,1.000000,0.342380,1.000000
+iid,940,2,2,1.000000,0.342380,1.000000
+iid,1000,2,2,1.000000,0.342380,1.000000
+toeplitz,100,0,2,0.000000,0.000000,0.657620
+toeplitz,160,2,2,1.000000,0.342380,1.000000
+toeplitz,220,2,2,1.000000,0.342380,1.000000
+toeplitz,280,2,2,1.000000,0.342380,1.000000
+toeplitz,340,2,2,1.000000,0.342380,1.000000
+toeplitz,400,2,2,1.000000,0.342380,1.000000
+toeplitz,460,2,2,1.000000,0.342380,1.000000
+toeplitz,520,2,2,1.000000,0.342380,1.000000
+toeplitz,580,2,2,1.000000,0.342380,1.000000
+toeplitz,640,2,2,1.000000,0.342380,1.000000
+toeplitz,700,2,2,1.000000,0.342380,1.000000
+toeplitz,760,2,2,1.000000,0.342380,1.000000
+toeplitz,820,2,2,1.000000,0.342380,1.000000
+toeplitz,880,2,2,1.000000,0.342380,1.000000
+toeplitz,940,2,2,1.000000,0.342380,1.000000
+toeplitz,1000,2,2,1.000000,0.342380,1.000000
+toeplitz-block,100,0,2,0.000000,0.000000,0.657620
+toeplitz-block,160,2,2,1.000000,0.342380,1.000000
+toeplitz-block,220,2,2,1.000000,0.342380,1.000000
+toeplitz-block,280,2,2,1.000000,0.342380,1.000000
+toeplitz-block,340,2,2,1.000000,0.342380,1.000000
+toeplitz-block,400,2,2,1.000000,0.342380,1.000000
+toeplitz-block,460,2,2,1.000000,0.342380,1.000000
+toeplitz-block,520,2,2,1.000000,0.342380,1.000000
+toeplitz-block,580,2,2,1.000000,0.342380,1.000000
+toeplitz-block,640,2,2,1.000000,0.342380,1.000000
+toeplitz-block,700,2,2,1.000000,0.342380,1.000000
+toeplitz-block,760,2,2,1.000000,0.342380,1.000000
+toeplitz-block,820,2,2,1.000000,0.342380,1.000000
+toeplitz-block,880,2,2,1.000000,0.342380,1.000000
+toeplitz-block,940,2,2,1.000000,0.342380,1.000000
+toeplitz-block,1000,2,2,1.000000,0.342380,1.000000
+"""
+
+
 def tiny_config(**overrides):
     base = dict(
         N=48, m=3, kinds=("iid", "toeplitz"), n_grid=(8, 24, 48),
@@ -194,6 +250,36 @@ class TestRunTrial:
             assert part in message
 
 
+class TestDecodeOperator:
+    @pytest.mark.parametrize("preset,kind,n,backend", [
+        (desk_preset, "toeplitz", 256, None),  # N=512: 131,072 entries
+        (full_preset, "toeplitz", 100, None),  # N=2048: 204,800 entries
+        (full_preset, "toeplitz", 160, "fft"),  # 327,680 entries
+        (full_preset, "toeplitz-block", 160, "fft"),
+        (full_preset, "iid", 160, "dense"),
+    ])
+    def test_size_and_kind_pick_the_operator(self, preset, kind, n, backend, monkeypatch):
+        # None: the trial decodes through bench.dense_operator, below the
+        # crossover; otherwise through structured_operator, whose backend
+        # is given
+        seen = []
+
+        def spy(name, make):
+            def wrapper(M):
+                op = make(M)
+                seen.append((name, op.backend))
+                return op
+            return wrapper
+
+        for name in ("dense_operator", "structured_operator"):
+            monkeypatch.setattr(bench, name, spy(name, getattr(bench, name)))
+        cfg = preset(master_seed=2)
+        assert (n * cfg.N >= bench.FFT_MIN_ENTRIES) == (backend is not None)
+        run_trial(cfg, kind, n, 0)
+        assert seen == ([("dense_operator", "dense")] if backend is None
+                        else [("structured_operator", backend)])
+
+
 class TestOneBlasThread:
     @pytest.fixture
     def libs(self):
@@ -290,6 +376,16 @@ class TestSuccessCurve:
         assert success_curve(cfg, cache_path=cache).cell("toeplitz", 48).successes == 3
         assert json.loads(cache.read_text())[bench._cell_key(cfg, "toeplitz", 48)] == 3
 
+    def test_cache_of_the_dense_decode_is_not_read(self, tmp_path):
+        # a full-preset toeplitz cell stored when every trial decoded
+        # through the dense array, whose products round otherwise
+        cfg = full_preset(master_seed=2, trials=2, kinds=("toeplitz",), n_grid=(160,))
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps(
+            {f"{cfg.digest()}:lasso-homotopy-2+one-stream-pool-1:toeplitz:160": 0}))
+        assert success_curve(cfg, cache_path=cache).cell("toeplitz", 160).successes == 2
+        assert json.loads(cache.read_text())[bench._cell_key(cfg, "toeplitz", 160)] == 2
+
     @pytest.mark.parametrize("text", ["[]", "{"])
     def test_cache_that_is_not_a_json_object_is_rejected(self, tmp_path, text):
         cache = tmp_path / "cache.json"
@@ -320,6 +416,10 @@ class TestSuccessCurve:
     def test_desk_csv_matches_golden(self):
         cfg = desk_preset(master_seed=2, trials=2)
         assert success_curve(cfg, threads=1).to_csv_text() == DESK_SEED2_TRIALS2_CSV
+
+    def test_full_csv_matches_golden(self):
+        cfg = full_preset(master_seed=2, trials=2)
+        assert success_curve(cfg, threads=1).to_csv_text() == FULL_SEED2_TRIALS2_CSV
 
     def test_pool_caches_cells_as_they_finish(self, tmp_path, monkeypatch):
         cfg = tiny_config(trials=1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structcs import matrices
+from structcs.bench import spec_template
 from structcs.fastops import (
     LinearOperator,
     UnsupportedStructureError,
@@ -188,6 +189,20 @@ class TestOperators:
         assert rel_err(op.forward(x), dense_matvec(M, x)) <= 1e-10
         assert rel_err(op.adjoint(y), dense_matvec(M.entries.T, y)) <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["toeplitz", "toeplitz-block", "circulant-block"])
+    def test_full_size_operator_matches_dense(self, kind):
+        # the bench's largest full-preset matrices, N=2048, n=1000
+        M = build_structured(spec_template(kind, 2048, 20, "bernoulli", 1000, seed=4))
+        op = structured_operator(M)
+        assert op.backend == "fft"
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(M.N), rng.standard_normal(M.n)
+        assert rel_err(op.forward(x), dense_matvec(M, x)) <= 1e-10
+        assert rel_err(op.adjoint(y), dense_matvec(M.entries.T, y)) <= 1e-10
+        X, Y = rng.standard_normal((M.N, 3)), rng.standard_normal((M.n, 3))
+        assert rel_err(op.forward(X), M.entries @ X) <= 1e-10
+        assert rel_err(op.adjoint(Y), M.entries.T @ Y) <= 1e-10
+
     def test_batched_forward(self):
         M = build_structured(circulant_block_spec(3, 2, 2, 2, seed=6))
         op = structured_operator(M)
@@ -210,37 +225,49 @@ class TestColumns:
         for j in (3, 59, 0):
             np.testing.assert_array_equal(plain.column(j), dense.column(j))
 
-    def test_fft_operator_columns_match_dense(self):
-        M = build_structured(toeplitz_block_spec(8, 4, 3, 2, seed=9))
-        op = structured_operator(M)
-        assert op.backend == "fft"
-        for j in (0, 5, 15):
-            np.testing.assert_allclose(op.column(j), M.entries[:, j], atol=1e-12)
+    def test_fft_operator_columns_match_dense(self, monkeypatch):
+        # every column of a toeplitz-block, a circulant-block whose block
+        # indices wrap (l > k) and a circulant-circulant matrix, read off
+        # the band with the dense bits and without a forward apply
+        specs = (toeplitz_block_spec(8, 4, 3, 2, seed=9),
+                 circulant_block_spec(3, 8, 2, 2, "sparse-ternary", seed=5),
+                 circulant_circulant_spec(3, 2, 4, 2, "gaussian", seed=6))
+        ops = [(M, structured_operator(M)) for M in map(build_structured, specs)]
+
+        def no_apply(self, x):
+            raise AssertionError("a column read made a forward apply")
+
+        monkeypatch.setattr(LinearOperator, "forward", no_apply)
+        for M, op in ops:
+            assert op.backend == "fft"
+            for j in range(M.N):
+                np.testing.assert_array_equal(op.column(j), M.entries[:, j])
+            with pytest.raises(IndexError):
+                op.column(M.N)
 
 
 def test_speedup_reported_not_asserted(capsys):
-    # scalar band with 4096 columns: print the measured ratio only
+    # scalar band with 4096 columns: print the measured ratio of the dense
+    # applies to the operator's, whose band spectrum is made once
     import time
-
-    from structcs.matrices import distinct_blocks, toeplitz_block_spec
-    from structcs.fastops import fast_matvec
 
     spec = toeplitz_block_spec(4096, 512, 1, 1, "gaussian", seed=0)
     M = build_structured(spec)
-    blocks = distinct_blocks(M)
-    x = np.random.default_rng(2).standard_normal(spec.N)
-    fast_matvec(spec, blocks, x)
-    t0 = time.perf_counter()
-    for _ in range(10):
-        M.entries @ x
-    dense_t = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for _ in range(10):
-        fast_matvec(spec, blocks, x)
-    fft_t = time.perf_counter() - t0
-    print(f"[report] 512x4096 scalar band matvec: dense {dense_t / 10 * 1e3:.2f} ms, "
-          f"fft {fft_t / 10 * 1e3:.2f} ms, ratio {dense_t / fft_t:.1f}x")
+    op = structured_operator(M)
+    rng = np.random.default_rng(2)
+    x, y = rng.standard_normal(spec.N), rng.standard_normal(spec.n)
+
+    def per_apply_ms(forward, adjoint):
+        forward(x), adjoint(y)
+        t0 = time.perf_counter()
+        for _ in range(10):
+            forward(x), adjoint(y)
+        return (time.perf_counter() - t0) / 20 * 1e3
+
+    dense_t = per_apply_ms(lambda v: M.entries @ v, lambda v: M.entries.T @ v)
+    fft_t = per_apply_ms(op.forward, op.adjoint)
+    print(f"[report] 512x4096 scalar band apply: dense {dense_t:.3f} ms, "
+          f"fft {fft_t:.3f} ms, ratio {dense_t / fft_t:.1f}x")
     # the timing is only reported, but the products must agree at this size
-    dense_y = M.entries @ x
-    rel = np.linalg.norm(fast_matvec(spec, blocks, x) - dense_y) / np.linalg.norm(dense_y)
-    assert rel <= 1e-10
+    assert rel_err(op.forward(x), M.entries @ x) <= 1e-10
+    assert rel_err(op.adjoint(y), M.entries.T @ y) <= 1e-10

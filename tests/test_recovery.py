@@ -360,6 +360,36 @@ def test_non_finite_iterate_scores_trial_false(monkeypatch, caplog):
     assert "ValueError: homotopy step 3 is not finite" in caplog.text
 
 
+def test_non_finite_fft_adjoint_scores_trial_false(monkeypatch, caplog):
+    # the FFT twin of the test above: a full-preset toeplitz trial above the
+    # size crossover.  Its adjoint applies y, then each added column; the
+    # fifth apply, for the column step 3 adds, is the first to see NaN
+    cfg = bench.full_preset(master_seed=2)
+    assert 160 * cfg.N >= bench.FFT_MIN_ENTRIES
+    backends = []
+
+    def poisoned(M):
+        op = structured_operator(M)
+        backends.append(op.backend)
+        calls, adjoint = [], op._adjoint
+
+        def nan_after_four(y):
+            calls.append(None)
+            out = adjoint(y)
+            return out if len(calls) <= 4 else np.full_like(out, np.nan)
+
+        op._adjoint = nan_after_four
+        return op
+
+    monkeypatch.setattr(bench, "structured_operator", poisoned)
+    with caplog.at_level(logging.WARNING, logger="structcs.bench"):
+        assert bench.run_trial(cfg, "toeplitz", 160, 0) is False
+    assert backends == ["fft"]
+    [record] = caplog.records
+    assert record.getMessage() == ("toeplitz n=160 trial 0: decoder raised ValueError: "
+                                   "homotopy step 3 is not finite; scored not recovered")
+
+
 class TestErrorBimodality:
     def test_error_histogram_has_a_gap_around_threshold(self):
         # mixed easy and hard instances: relative errors cluster either
