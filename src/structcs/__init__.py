@@ -30,15 +30,7 @@ from .matrices import (
     toeplitz_block_spec,
     truncate_rows,
 )
-from .fastops import (
-    LinearOperator,
-    UnsupportedStructureError,
-    dense_matvec,
-    dense_operator,
-    fast_adjoint_matvec,
-    fast_matvec,
-    structured_operator,
-)
+from .fastops import LinearOperator, dense_operator, structured_operator
 from .dependency import (
     ColoringFailureError,
     ColoringPartition,

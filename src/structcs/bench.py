@@ -35,6 +35,7 @@ from .matrices import (
     DistributionKind,
     MatrixKind,
     build_structured,
+    check_int,
     iid_spec,
     toeplitz_block_spec,
     circulant_block_spec,
@@ -84,8 +85,12 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.kinds, str) or not all(isinstance(k, str) for k in self.kinds):
+            raise ValueError(f"kinds must be a list of kind names, got {self.kinds!r}")
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(check_int("n", n) for n in self.n_grid))
+        for name in ("N", "m", "trials", "solver_max_iter", "master_seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if not 0 <= self.m <= self.N:

@@ -5,11 +5,11 @@ rows that draw on a shared scalar variable.  Everything here is
 computed from construction provenance (``var_id``), never from value
 equality.  One grouping pass over ``var_id[:, T]`` maps each label to
 the rows that hold it and so gives every row its set of neighbours, in
-O(n|T|) time and memory plus the size of those sets; the reports and
-the colorings read these sets, and :func:`dependent_rows` looks up the
-labels of its one row.  The module verifies the combinatorial bounds
-on the number of coupled rows and produces checked equitable colorings
-of the dependency graph (independent classes of near-equal size).
+O(n|T|) time and memory plus the size of those sets; the reports, the
+colorings and :func:`dependent_rows` read these sets.  The module
+verifies the combinatorial bounds on the number of coupled rows and
+produces checked equitable colorings of the dependency graph
+(independent classes of near-equal size).
 """
 
 from __future__ import annotations
@@ -124,11 +124,7 @@ def dependent_rows(matrix: SensingMatrix, support: SupportSet, row: int) -> set:
     support.validate_against(matrix.N)
     if not 0 <= row < matrix.n:
         raise IndexError(f"row {row} out of range for {matrix.n} rows")
-    # look this row's labels up in every row; no per-row sets are built
-    V = matrix.var_id[:, support.indices]
-    shares = np.isin(V, V[row]).any(axis=1)
-    shares[row] = False
-    return set(np.flatnonzero(shares).tolist())
+    return set(_neighbors(matrix, support)[row])
 
 
 def dependency_bound_for(kind: MatrixKind, l: int, support_size: int) -> int:

@@ -1,15 +1,15 @@
-"""FFT-accelerated products for block-convolution matrices.
+"""The linear operators the decoders apply: dense, or FFT over a band.
 
-A block grid is fixed by its band: ``matrices.band_blocks`` extends the
-distinct blocks to the length ``k + l - 1`` band, the same band the
-build tiles into the dense entries.  A matrix-vector product is then a
-block convolution: embed the band in a circulant sequence of length
-L >= k + l - 1, FFT along the block axis, multiply blockwise in the
-frequency domain, and invert.  The adjoint is the correlation with the
-same sequence, so it multiplies by the conjugate transposed spectrum.
-``structured_operator`` transforms the band once, when it is made, and
-reads a column straight off the band.  ``dense_matvec`` is the exact
-oracle the fast path is tested against.
+Every block kind is fixed by its band: ``matrices.read_band`` slices the
+``k + l - 1`` blocks, with ``band[k - 1 + i - j]`` the block at ``(i, j)``,
+off a matrix's top block row and first block column.  A matrix-vector
+product is then a block convolution: embed the band in a circulant
+sequence of length L >= k + l - 1, FFT along the block axis, multiply
+blockwise in the frequency domain, and invert.  The adjoint is the
+correlation with the same sequence, so it multiplies by the conjugate
+transposed spectrum.  ``structured_operator`` transforms the band once,
+when it is made, and reads a column straight off the band; only IID and
+truncated matrices, which have no band, are applied dense.
 
 The bench decodes a trial through ``structured_operator`` once its
 matrix reaches ``bench.FFT_MIN_ENTRIES`` entries, and through
@@ -21,41 +21,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import (
-    BlockStructureSpec,
-    MatrixKind,
-    SensingMatrix,
-    band_blocks,
-    distinct_blocks,
-)
+from .matrices import MatrixKind, SensingMatrix, read_band
 
 __all__ = [
     "LinearOperator",
-    "UnsupportedStructureError",
-    "dense_matvec",
-    "fast_matvec",
-    "fast_adjoint_matvec",
     "dense_operator",
     "structured_operator",
 ]
-
-FAST_KINDS = (
-    MatrixKind.TOEPLITZ_BLOCK,
-    MatrixKind.CIRCULANT_BLOCK,
-    MatrixKind.CIRCULANT_CIRCULANT,
-)
-
-
-class UnsupportedStructureError(ValueError):
-    """Raised when a spec kind has no FFT fast path."""
 
 
 class LinearOperator:
     """A forward map R^N -> R^n with its adjoint, dims explicit.
 
     ``backend`` records which implementation backs the maps ("fft" or
-    "dense"); a structured operator falls back to "dense" when the spec
-    kind has no fast path.  Maps accept 1-D vectors or 2-D (dim, batch)
+    "dense"); a structured operator is "dense" only for an IID or a
+    truncated matrix.  Maps accept 1-D vectors or 2-D (dim, batch)
     arrays and are pure, so one operator can be shared across threads.
     ``column`` is derived from the forward map; the dense and FFT
     operators read it off their array and band instead.  The homotopy in
@@ -101,17 +81,6 @@ class _DenseOperator(LinearOperator):
         return self.entries[:, j]
 
 
-def dense_matvec(matrix, x) -> np.ndarray:
-    """Exact dense product; the oracle for the fast path."""
-    entries = matrix.entries if isinstance(matrix, SensingMatrix) else np.asarray(matrix)
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != entries.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {entries.shape}, x has length {x.shape[0]}"
-        )
-    return entries @ x
-
-
 def _fft_len(x: int) -> int:
     """The least 2^a 3^b 5^c >= x: a length numpy's FFT transforms fast."""
     while True:
@@ -140,7 +109,7 @@ def _circular_apply(spectrum, x, length, blocks_out):
 
 
 class _BandOperator(LinearOperator):
-    """The block convolution of a grid's band, transformed once.
+    """The block convolution of a band (k + l - 1, d, e), transformed once.
 
     ``y[i] = sum_j band[k - 1 + i - j] @ x[j]`` over block rows i < l and
     block columns j < k.  The band is embedded in a circulant sequence c
@@ -151,21 +120,17 @@ class _BandOperator(LinearOperator):
     conjugate transpose, so both read the one spectrum made here.
     """
 
-    def __init__(self, spec: BlockStructureSpec, blocks: np.ndarray):
-        if spec.kind not in FAST_KINDS:
-            raise UnsupportedStructureError(
-                f"no fast path for kind {spec.kind.value}; use the dense fallback"
-            )
-        k, l, d, e = spec.k, spec.l, spec.d, spec.e
-        band = band_blocks(np.asarray(blocks, dtype=float), spec.kind, k, l)
-        L = _fft_len(k + l - 1)
+    def __init__(self, band: np.ndarray, k: int):
+        length, d, e = band.shape
+        l = length - k + 1
+        L = _fft_len(length)
         c = np.zeros((L, d, e))
         c[:l] = band[k - 1:]
         c[L - k + 1:] = band[:k - 1]
         spectrum = np.fft.rfft(c, axis=0)
         spectrum_h = np.ascontiguousarray(spectrum.conj().transpose(0, 2, 1))
         super().__init__(
-            spec.shape,
+            (l * d, k * e),
             forward=lambda x: _circular_apply(spectrum, x, L, l),
             adjoint=lambda y: _circular_apply(spectrum_h, y, L, k),
             backend="fft",
@@ -183,23 +148,6 @@ class _BandOperator(LinearOperator):
         return self._band[k - 1 - jb:k - 1 - jb + l, :, c].reshape(l * d)
 
 
-def fast_matvec(spec: BlockStructureSpec, blocks: np.ndarray, x) -> np.ndarray:
-    """FFT product of a structured matrix with x, given its distinct blocks.
-
-    ``blocks`` has shape (num_blocks, d, e) in block order (see
-    ``distinct_blocks``).  One forward of the operator
-    ``structured_operator`` makes, so it transforms the band for this
-    call alone.  Matches the dense product to ~1e-15 relative, tested
-    against 1e-10.
-    """
-    return _BandOperator(spec, blocks).forward(x)
-
-
-def fast_adjoint_matvec(spec: BlockStructureSpec, blocks: np.ndarray, y) -> np.ndarray:
-    """Adjoint of :func:`fast_matvec`: the transposed band convolution."""
-    return _BandOperator(spec, blocks).adjoint(y)
-
-
 def dense_operator(matrix) -> LinearOperator:
     """Operator view of a SensingMatrix or any array-like, as float."""
     return _DenseOperator(np.asarray(
@@ -207,14 +155,13 @@ def dense_operator(matrix) -> LinearOperator:
 
 
 def structured_operator(matrix: SensingMatrix) -> LinearOperator:
-    """Operator view of a sensing matrix, FFT-backed where supported.
+    """Operator view of a sensing matrix: FFT over its band.
 
-    Kinds without a fast path (IID, doubly-nested blocks, deterministic,
-    truncated matrices) get the dense fallback; ``backend`` reports
-    which path was taken.  The FFT operator transforms the band here,
-    once, and each apply reuses it.
+    Every untruncated block matrix gets the FFT operator, whatever its
+    kind or size; an IID or a truncated matrix, which has no band, gets
+    the dense one.  ``backend`` reports which.  The band is transformed
+    here, once, and each apply reuses it.
     """
-    spec = matrix.spec
-    if spec.kind not in FAST_KINDS or matrix.is_truncated:
+    if matrix.spec.kind is MatrixKind.IID or matrix.is_truncated:
         return dense_operator(matrix)
-    return _BandOperator(spec, distinct_blocks(matrix))
+    return _BandOperator(read_band(matrix), matrix.spec.k)

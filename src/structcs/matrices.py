@@ -39,6 +39,8 @@ numbering, extends them to the length ``k + l - 1`` band with
 a sliding window over the band tiles the matrix.  An IID matrix is its
 pool reshaped.  :func:`label_grid`, which ``var_id`` reads, is the same
 layout applied to the label numbers ``0 .. distinct_label_count - 1``.
+Going back, :func:`read_band` slices the band off a built matrix's top
+block row and first block column, whatever its kind.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import enum
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +61,7 @@ __all__ = [
     "EntryDistribution",
     "InnerSpec",
     "BlockStructureSpec",
+    "check_int",
     "SensingMatrix",
     "sample_iid",
     "build_structured",
@@ -65,6 +69,7 @@ __all__ = [
     "band_blocks",
     "from_blocks",
     "column_block_of",
+    "read_band",
     "distinct_blocks",
     "distinct_label_count",
     "truncate_rows",
@@ -91,6 +96,18 @@ class MatrixKind(str, enum.Enum):
     DETERMINISTIC = "deterministic"
 
 
+def check_int(name: str, value) -> int:
+    """``value`` as an int, or ValueError naming ``name`` if it is not
+    integral.  numpy ints pass; a float, even 2.0, a string or a bool
+    does not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class DistributionKind(str, enum.Enum):
     GAUSSIAN = "gaussian"
     BERNOULLI = "bernoulli"
@@ -113,6 +130,7 @@ class EntryDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DistributionKind(self.kind))
+        object.__setattr__(self, "scale_rows", check_int("scale_rows", self.scale_rows))
         if self.scale_rows < 1:
             raise ValueError(f"scale_rows must be >= 1, got {self.scale_rows}")
 
@@ -143,6 +161,7 @@ class InnerSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", MatrixKind(self.kind))
         for name in ("k", "l", "d", "e"):
+            object.__setattr__(self, name, check_int(f"inner {name}", getattr(self, name)))
             if getattr(self, name) < 1:
                 raise ValueError(f"inner {name} must be >= 1")
         if self.kind is not MatrixKind.CIRCULANT_BLOCK:
@@ -179,6 +198,8 @@ class BlockStructureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", MatrixKind(self.kind))
+        for name in ("k", "l", "d", "e", "seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         for name in ("k", "l", "d", "e"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -435,29 +456,38 @@ def column_block_of(spec: BlockStructureSpec, col: int) -> int:
     return col // spec.e
 
 
-def distinct_blocks(matrix: SensingMatrix) -> np.ndarray:
-    """The distinct block values, shape (num_blocks, d, e), in block order.
+def read_band(matrix: SensingMatrix) -> np.ndarray:
+    """The band of a block matrix, shape (k + l - 1, d, e):
+    ``band[k - 1 + i - j]`` is the block at block position ``(i, j)``.
 
-    The top block row and the left block column hold every block: block
-    ``k - 1 - j`` sits at ``(0, j)`` and block ``k - 1 + i`` at ``(i, 0)``.
-    Both are read by slicing.  Requires an untruncated matrix.
+    The top block row and the first block column hold the whole band,
+    for every kind: ``band[k - 1 - j]`` is block ``(0, j)`` and
+    ``band[k - 1 + i]`` is block ``(i, 0)``.  Both are read by slicing,
+    so the band has the entries' bits.  Requires an untruncated matrix.
     """
     spec = matrix.spec
     if spec.kind is MatrixKind.IID:
         raise ValueError("an IID matrix has no repeated block structure")
     if matrix.is_truncated:
-        raise ValueError("cannot extract blocks from a truncated matrix")
+        raise ValueError("cannot read the band of a truncated matrix")
     k, l, d, e = spec.k, spec.l, spec.d, spec.e
     top = matrix.entries[:d].reshape(d, k, e).transpose(1, 0, 2)[::-1]
     left = matrix.entries[d:, :e].reshape(l - 1, d, e)
-    return np.concatenate([top, left[: _num_blocks(spec.kind, k, l) - k]])
+    return np.concatenate([top, left])
+
+
+def distinct_blocks(matrix: SensingMatrix) -> np.ndarray:
+    """The distinct block values, shape (num_blocks, d, e), in block order:
+    the first ``num_blocks`` blocks of :func:`read_band`."""
+    spec = matrix.spec
+    return read_band(matrix)[: _num_blocks(spec.kind, spec.k, spec.l)]
 
 
 def truncate_rows(matrix: SensingMatrix, rows: int) -> SensingMatrix:
     """Keep the first ``rows`` rows (a truncated block matrix).
 
-    The spec is retained unchanged; ``is_truncated`` becomes true and
-    block extraction / fast products fall back to dense paths.
+    The spec is retained unchanged; ``is_truncated`` becomes true, the
+    band can no longer be read off it, and its products are dense.
     """
     if not 1 <= rows <= matrix.n:
         raise ValueError(f"rows must be in 1..{matrix.n}, got {rows}")

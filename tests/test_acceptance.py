@@ -22,13 +22,8 @@ from structcs.bench import desk_preset, success_curve, wilson_interval
 from structcs.bounds import BoundParams, default_c0, rip_success_bound
 from structcs.dependency import SupportSet, circulant_dependency_bound
 from structcs.devore import PolySpec, verify_rip_guarantee
-from structcs.fastops import dense_matvec, fast_adjoint_matvec, fast_matvec
-from structcs.matrices import (
-    build_structured,
-    circulant_block_spec,
-    distinct_blocks,
-    toeplitz_block_spec,
-)
+from structcs.fastops import structured_operator
+from structcs.matrices import build_structured, circulant_block_spec, toeplitz_block_spec
 from structcs.recovery import basis_pursuit
 
 THREADS = min(8, os.cpu_count() or 1)
@@ -58,13 +53,15 @@ def fast_oracle_table(seed=MASTER_SEED, trials=100):
                 break
         spec = build(k, l, d, e, "gaussian", seed=int(rng.integers(2**31)))
         M = build_structured(spec)
-        blocks = distinct_blocks(M)
+        op = structured_operator(M)
+        # the dense fallback would pass this oracle and show nothing
+        assert op.backend == "fft", f"trial {trial}: {op.backend} operator"
         x = rng.standard_normal(spec.N)
         y = rng.standard_normal(spec.n)
-        fwd = fast_matvec(spec, blocks, x)
-        ref = dense_matvec(M, x)
+        fwd = op.forward(x)
+        ref = M.entries @ x
         fe = np.linalg.norm(fwd - ref) / max(np.linalg.norm(ref), 1e-300)
-        adj = fast_adjoint_matvec(spec, blocks, y)
+        adj = op.adjoint(y)
         aref = M.entries.T @ y
         ae = np.linalg.norm(adj - aref) / max(np.linalg.norm(aref), 1e-300)
         rows.append(f"{trial},{spec.kind.value},{spec.n},{spec.N},{fe:.3e},{ae:.3e}")

@@ -440,6 +440,26 @@ class TestConfigsAndOutputs:
         with pytest.raises(ValueError):
             tiny_config(n_grid=(8, 64))  # n > N
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", 1.5, "trials must be an integer"),
+        ("trials", True, "trials must be an integer"),
+        ("solver_max_iter", 2.5, "solver_max_iter must be an integer"),
+        ("N", 48.0, "N must be an integer"),
+        ("master_seed", 1.5, "master_seed must be an integer"),
+        ("n_grid", (8, 20.7, 48), "n must be an integer"),
+        ("kinds", "iid", "kinds must be a list"),
+        ("kinds", ("iid", 3), "kinds must be a list"),
+    ])
+    def test_malformed_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**{field: value})
+
+    def test_numpy_ints_keep_the_digest(self):
+        cfg = tiny_config()
+        again = tiny_config(N=np.int64(48), trials=np.int32(6),
+                            n_grid=tuple(np.array([8, 24, 48])))
+        assert again == cfg and again.digest() == cfg.digest()
+
     def test_presets(self):
         desk = desk_preset()
         assert desk.N == 512 and desk.m == 10 and desk.trials == 200

@@ -381,6 +381,8 @@ class TestBench:
 
 
 _CONFIG = {"N": 32, "m": 2, "kinds": ["iid"], "n_grid": [32], "trials": 1}
+_SPEC = {"kind": "toeplitz-block", "k": 4, "l": 2, "d": 2, "e": 2, "nested": None,
+         "distribution": {"kind": "gaussian", "scale_rows": 4}, "seed": 0}
 
 _MALFORMED_INPUTS = {
     "config-unknown-key": ("bench", {**_CONFIG, "bogus": 1}),
@@ -395,6 +397,12 @@ _MALFORMED_INPUTS = {
     "config-solver-tol-zero": ("bench", {**_CONFIG, "solver_tol": 0}),
     "config-success-tol-negative": ("bench", {**_CONFIG, "success_rel_tol": -1}),
     "config-list": ("bench", [1, 2, 3]),
+    "config-trials-fraction": ("bench", {**_CONFIG, "trials": 1.5}),
+    "config-max-iter-fraction": ("bench", {**_CONFIG, "solver_max_iter": 2.5}),
+    "config-n-fraction": ("bench", {**_CONFIG, "n_grid": [20.7]}),
+    "config-kinds-string": ("bench", {**_CONFIG, "kinds": "iid"}),
+    "spec-k-fraction": ("build", {**_SPEC, "k": 2.5}),
+    "spec-seed-fraction": ("build", {**_SPEC, "seed": 1.5}),
     "spec-no-distribution": ("build", {"kind": "iid", "k": 4, "l": 2, "d": 2, "e": 2,
                                        "nested": None, "seed": 0}),
     "spec-distribution-not-object": ("build", {"kind": "iid", "k": 4, "l": 2, "d": 2,

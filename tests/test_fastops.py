@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,21 +7,13 @@ from hypothesis import strategies as st
 
 from structcs import matrices
 from structcs.bench import spec_template
-from structcs.fastops import (
-    LinearOperator,
-    UnsupportedStructureError,
-    dense_matvec,
-    dense_operator,
-    fast_adjoint_matvec,
-    fast_matvec,
-    structured_operator,
-)
+from structcs.devore import PolySpec, build_devore_block
+from structcs.fastops import LinearOperator, dense_operator, structured_operator
 from structcs.matrices import (
     build_structured,
     circulant_block_spec,
     circulant_circulant_block_spec,
     circulant_circulant_spec,
-    distinct_blocks,
     iid_spec,
     toeplitz_block_spec,
     truncate_rows,
@@ -41,18 +35,27 @@ def random_structured(rng, max_dim=5):
     return build(*dims, "gaussian", seed)
 
 
+def fft_operator(M):
+    """``structured_operator(M)``, checked to be the FFT one: an oracle
+    test that passed on the dense fallback would show nothing."""
+    op = structured_operator(M)
+    assert op.backend == "fft"
+    return op
+
+
 class TestDenseMatvec:
     def test_identity(self):
-        assert np.array_equal(dense_matvec(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
+        op = dense_operator(np.eye(2))
+        assert np.array_equal(op.forward(np.array([3.0, 4.0])), [3.0, 4.0])
 
     def test_unit_vector_selects_column(self):
         M = build_structured(toeplitz_block_spec(2, 2, 1, 1, seed=5))
         e0 = np.array([1.0, 0.0])
-        np.testing.assert_array_equal(dense_matvec(M, e0), M.entries[:, 0])
+        np.testing.assert_array_equal(dense_operator(M).forward(e0), M.entries[:, 0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dense_matvec(np.eye(3), np.ones(4))
+            dense_operator(np.eye(3)).forward(np.ones(4))
 
 
 class TestFastAgainstDense:
@@ -61,68 +64,60 @@ class TestFastAgainstDense:
         for _ in range(60):
             spec = random_structured(rng)
             M = build_structured(spec)
-            B = distinct_blocks(M)
             x = rng.standard_normal(spec.N)
-            assert rel_err(fast_matvec(spec, B, x), dense_matvec(M, x)) <= 1e-10
+            assert rel_err(fft_operator(M).forward(x), M.entries @ x) <= 1e-10
 
     def test_toeplitz_block_8x16(self):
         rng = np.random.default_rng(7)
         spec = toeplitz_block_spec(4, 2, 4, 4, seed=77)
         M = build_structured(spec)
-        B = distinct_blocks(M)
+        op = fft_operator(M)
         for _ in range(20):
             x = rng.standard_normal(16)
-            assert rel_err(fast_matvec(spec, B, x), dense_matvec(M, x)) <= 1e-10
+            assert rel_err(op.forward(x), M.entries @ x) <= 1e-10
 
     def test_64x256_block_within_1e10(self):
         rng = np.random.default_rng(8)
         spec = toeplitz_block_spec(64, 16, 4, 4, seed=3)
         M = build_structured(spec)
-        B = distinct_blocks(M)
+        op = fft_operator(M)
         worst = 0.0
         for _ in range(100):
             x = rng.standard_normal(spec.N)
-            worst = max(worst, rel_err(fast_matvec(spec, B, x), M.entries @ x))
+            worst = max(worst, rel_err(op.forward(x), M.entries @ x))
         assert worst <= 1e-10
 
     def test_zero_maps_to_zero(self):
         spec = circulant_block_spec(3, 4, 2, 2, seed=1)
-        B = distinct_blocks(build_structured(spec))
-        assert np.array_equal(fast_matvec(spec, B, np.zeros(spec.N)), np.zeros(spec.n))
-        assert np.array_equal(
-            fast_adjoint_matvec(spec, B, np.zeros(spec.n)), np.zeros(spec.N)
-        )
+        op = fft_operator(build_structured(spec))
+        assert np.array_equal(op.forward(np.zeros(spec.N)), np.zeros(spec.n))
+        assert np.array_equal(op.adjoint(np.zeros(spec.n)), np.zeros(spec.N))
 
     def test_pure_toeplitz_unit_vector_gives_first_column(self):
         spec = toeplitz_block_spec(5, 4, 1, 1, seed=21)
         M = build_structured(spec)
-        B = distinct_blocks(M)
         e1 = np.zeros(5)
         e1[0] = 1.0
         np.testing.assert_allclose(
-            fast_matvec(spec, B, e1), M.entries[:, 0], rtol=0, atol=1e-12
+            fft_operator(M).forward(e1), M.entries[:, 0], rtol=0, atol=1e-12
         )
 
     def test_adjoint_consistency_100_pairs(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             spec = random_structured(rng)
-            M = build_structured(spec)
-            B = distinct_blocks(M)
+            op = fft_operator(build_structured(spec))
             x = rng.standard_normal(spec.N)
             y = rng.standard_normal(spec.n)
-            lhs = np.dot(fast_matvec(spec, B, x), y)
-            rhs = np.dot(x, fast_adjoint_matvec(spec, B, y))
+            lhs = np.dot(op.forward(x), y)
+            rhs = np.dot(x, op.adjoint(y))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_square_single_block_adjoint_is_transpose(self):
         spec = toeplitz_block_spec(1, 1, 6, 6, seed=13)
         M = build_structured(spec)
-        B = distinct_blocks(M)
         y = np.random.default_rng(5).standard_normal(6)
-        np.testing.assert_allclose(
-            fast_adjoint_matvec(spec, B, y), M.entries.T @ y, rtol=1e-12
-        )
+        np.testing.assert_allclose(fft_operator(M).adjoint(y), M.entries.T @ y, rtol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -131,12 +126,12 @@ class TestFastAgainstDense:
     )
     def test_linearity(self, k, l, d, e, seed, xs):
         spec = toeplitz_block_spec(k, l, d, e, seed=seed)
-        B = distinct_blocks(build_structured(spec))
+        op = fft_operator(build_structured(spec))
         rng = np.random.default_rng(xs)
         x, z = rng.standard_normal((2, spec.N))
         a, b = rng.standard_normal(2)
-        lhs = fast_matvec(spec, B, a * x + b * z)
-        rhs = a * fast_matvec(spec, B, x) + b * fast_matvec(spec, B, z)
+        lhs = op.forward(a * x + b * z)
+        rhs = a * op.forward(x) + b * op.forward(z)
         assert rel_err(lhs, rhs) <= 1e-12
 
 
@@ -153,12 +148,18 @@ class TestOperators:
         op = structured_operator(M)
         assert op.backend == "dense"
 
-    def test_nested_block_kind_falls_back_dense(self):
-        M = build_structured(circulant_circulant_block_spec(2, 2, 2, 2, 2, 2, seed=3))
-        op = structured_operator(M)
-        assert op.backend == "dense"
-        with pytest.raises(UnsupportedStructureError):
-            fast_matvec(M.spec, None, np.zeros(M.N))
+    def test_nested_and_deterministic_kinds_use_fft(self):
+        # every kind holds its band in its top block row and first block
+        # column, so these get the FFT operator too
+        rng = np.random.default_rng(3)
+        for M in (build_structured(circulant_circulant_block_spec(2, 2, 2, 2, 2, 2, seed=3)),
+                  build_devore_block(PolySpec(p=5, r=2, t=4, s=2, l=5))):
+            op = fft_operator(M)
+            x, y = rng.standard_normal(M.N), rng.standard_normal(M.n)
+            assert rel_err(op.forward(x), M.entries @ x) <= 1e-10
+            assert rel_err(op.adjoint(y), M.entries.T @ y) <= 1e-10
+            for j in range(M.N):
+                np.testing.assert_array_equal(op.column(j), M.entries[:, j])
 
     def test_truncated_falls_back_dense(self):
         M = truncate_rows(build_structured(toeplitz_block_spec(3, 3, 2, 2, seed=2)), 5)
@@ -186,8 +187,8 @@ class TestOperators:
         assert op.backend == "fft"
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal(M.N), rng.standard_normal(M.n)
-        assert rel_err(op.forward(x), dense_matvec(M, x)) <= 1e-10
-        assert rel_err(op.adjoint(y), dense_matvec(M.entries.T, y)) <= 1e-10
+        assert rel_err(op.forward(x), M.entries @ x) <= 1e-10
+        assert rel_err(op.adjoint(y), M.entries.T @ y) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["toeplitz", "toeplitz-block", "circulant-block"])
     def test_full_size_operator_matches_dense(self, kind):
@@ -197,8 +198,8 @@ class TestOperators:
         assert op.backend == "fft"
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal(M.N), rng.standard_normal(M.n)
-        assert rel_err(op.forward(x), dense_matvec(M, x)) <= 1e-10
-        assert rel_err(op.adjoint(y), dense_matvec(M.entries.T, y)) <= 1e-10
+        assert rel_err(op.forward(x), M.entries @ x) <= 1e-10
+        assert rel_err(op.adjoint(y), M.entries.T @ y) <= 1e-10
         X, Y = rng.standard_normal((M.N, 3)), rng.standard_normal((M.n, 3))
         assert rel_err(op.forward(X), M.entries @ X) <= 1e-10
         assert rel_err(op.adjoint(Y), M.entries.T @ Y) <= 1e-10
@@ -208,6 +209,34 @@ class TestOperators:
         op = structured_operator(M)
         X = np.random.default_rng(0).standard_normal((M.N, 5))
         np.testing.assert_allclose(op.forward(X), M.entries @ X, rtol=1e-10)
+
+
+# sha256 of the forward and adjoint bytes of the full preset's matrices,
+# read with numpy 2.4 (pocketfft) and OpenBLAS on x86-64: a change to
+# how the band is read, embedded or transformed shows here
+OPERATOR_BITS = {
+    ("toeplitz", 160): ("94558ed261dad697712e697da010aa5e65700f99754ec65666ed9a7fad0d93f5",
+                        "648c47154bbb3dc58f6d00a5de5dec11ea59e96d4390c0f7e9d8954768f4a645"),
+    ("toeplitz", 1000): ("6a11d514565c70b5c117749bd29b42aae4836672fca644c1af2e8a878e05cbfd",
+                         "464ab89eb15e2374f5b3e9da1abd81af18b82464e0de495dbad7b22787f3e895"),
+    ("toeplitz-block", 160): (
+        "3140e4b54caad9017716b9db2d63a8bc65a52527fd8aece8a5a36b962e3b089d",
+        "31848b2cd7ad9b8804bb823284837bb9d0a0a113d488784d5433667806e2e48a"),
+    ("toeplitz-block", 1000): (
+        "9d019040a16cdfd5def0d793523f4d2f363fbe4753fc304dcf2211312d254838",
+        "92c79717c4e04ca7e9dfbae3461c4614c30c59b629eb689cdbd57517b0044492"),
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(OPERATOR_BITS))
+def test_operator_bits_are_pinned(kind, n):
+    M = build_structured(spec_template(kind, 2048, 20, "bernoulli", n, seed=11))
+    op = fft_operator(M)
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal(M.N), rng.standard_normal(M.n)
+    digests = tuple(hashlib.sha256(v.tobytes()).hexdigest()
+                    for v in (op.forward(x), op.adjoint(y)))
+    assert digests == OPERATOR_BITS[kind, n]
 
 
 class TestColumns:

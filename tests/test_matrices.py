@@ -25,6 +25,7 @@ from structcs.matrices import (
     from_blocks,
     iid_spec,
     label_grid,
+    read_band,
     sample_iid,
     spec_from_dict,
     spec_from_json,
@@ -34,6 +35,7 @@ from structcs.matrices import (
     truncate_rows,
 )
 from structcs.matrices import _sample_pool
+from structcs.devore import PolySpec, build_devore_block
 from structcs.matrixio import (
     read_matrix,
     read_matrix_binary,
@@ -82,6 +84,8 @@ class TestEntryDistribution:
     def test_scale_rows_validated(self):
         with pytest.raises(ValueError):
             EntryDistribution(DistributionKind.GAUSSIAN, 0)
+        with pytest.raises(ValueError, match="scale_rows must be an integer"):
+            EntryDistribution(DistributionKind.GAUSSIAN, 2.5)
 
 
 class TestSampleIid:
@@ -185,6 +189,22 @@ class TestBlockLayouts:
         )
         with pytest.raises(ValueError):
             build_structured(spec)
+
+    @pytest.mark.parametrize("field", ["k", "l", "d", "e", "seed"])
+    def test_non_integral_dims_and_seed_rejected(self, field):
+        dims = dict(k=2, l=2, d=2, e=2, seed=0)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BlockStructureSpec(MatrixKind.TOEPLITZ_BLOCK, distribution=bernoulli(4),
+                               **{**dims, field: 2.5})
+        spec = BlockStructureSpec(MatrixKind.TOEPLITZ_BLOCK, distribution=bernoulli(4),
+                                  **{**dims, field: np.int64(dims[field])})
+        assert type(getattr(spec, field)) is int
+
+    @pytest.mark.parametrize("field", ["k", "l", "d", "e"])
+    def test_non_integral_inner_dims_rejected(self, field):
+        dims = dict(k=3, l=3, d=1, e=1)
+        with pytest.raises(ValueError, match=f"inner {field} must be an integer"):
+            InnerSpec(MatrixKind.CIRCULANT_BLOCK, **{**dims, field: 1.5})
 
     def test_nested_dim_mismatch_rejected(self):
         inner = InnerSpec(MatrixKind.CIRCULANT_BLOCK, 3, 3, 1, 1)
@@ -323,6 +343,19 @@ class TestOneStream:
         assert again.entries.tobytes() == M.entries.tobytes()
         with pytest.raises(ValueError, match="do not fit"):
             from_blocks(spec, distinct_blocks(M)[:-1])
+
+    @pytest.mark.parametrize("M", [*map(build_structured, EVERY_KIND[1:]),
+                                   build_devore_block(PolySpec(p=3, r=1, t=3, s=4, l=2))],
+                             ids=lambda M: M.spec.kind.value)
+    def test_read_band_holds_every_block(self, M):
+        # block (i, j) is band[k - 1 + i - j], for every kind and also
+        # where a circulant grid's block rows outnumber its columns
+        k, l, d, e = M.spec.k, M.spec.l, M.spec.d, M.spec.e
+        band = read_band(M)
+        assert band.shape == (k + l - 1, d, e)
+        for i, j in np.ndindex(l, k):
+            np.testing.assert_array_equal(
+                M.entries[i * d:(i + 1) * d, j * e:(j + 1) * e], band[k - 1 + i - j])
 
     @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda spec: spec.kind.value)
     def test_build_forms_no_label_grid(self, spec, monkeypatch):
